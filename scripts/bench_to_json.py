@@ -82,6 +82,18 @@ def collect_minima(runs):
     return minima
 
 
+def gate_baseline(entries, explicit, name):
+    """The entry a gate compares `name` against: the --baseline entry if
+    one was named, else the most recent entry that recorded `name` (an
+    entry may hold only the rows of the layer its change targeted)."""
+    if explicit is not None:
+        return explicit
+    for entry in reversed(entries):
+        if name in entry["results"]:
+            return entry
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("input", help="file of google-benchmark JSON runs")
@@ -149,11 +161,12 @@ def main():
 
     entries = trajectory.setdefault("entries", [])
     baseline = None
+    explicit = None
     if args.baseline:
         matches = [e for e in entries if e["label"] == args.baseline]
         if not matches:
             sys.exit("baseline label not found: " + args.baseline)
-        baseline = matches[-1]
+        baseline = explicit = matches[-1]
     elif entries:
         baseline = entries[-1]
     if baseline is not None:
@@ -169,7 +182,8 @@ def main():
         # one number every engine change must not silently regress.
         if baseline is None:
             sys.exit("--check-regression needs a baseline entry")
-        base_res = baseline["results"].get(CLUSTER_BENCH, {})
+        gate = gate_baseline(entries, explicit, CLUSTER_BENCH) or baseline
+        base_res = gate["results"].get(CLUSTER_BENCH, {})
         base_jps = base_res.get("jobs_per_sec")
         new_jps = results.get(CLUSTER_BENCH, {}).get("jobs_per_sec")
         if base_jps and new_jps:
@@ -177,7 +191,7 @@ def main():
             verdict = "OK" if new_jps >= floor else "REGRESSION"
             print(
                 f"{CLUSTER_BENCH}: {new_jps} jobs/sec vs baseline "
-                f"'{baseline['label']}' {base_jps} "
+                f"'{gate['label']}' {base_jps} "
                 f"(floor {floor:.0f}, -{args.check_regression}%): {verdict}"
             )
             if new_jps < floor:
@@ -200,7 +214,8 @@ def main():
         for name, res in sorted(results.items()):
             if not is_headline_latency(name):
                 continue
-            base = baseline["results"].get(name)
+            gate = gate_baseline(entries, explicit, name)
+            base = gate["results"].get(name) if gate else None
             if not base or base["unit"] != res["unit"]:
                 continue
             compared += 1
@@ -208,7 +223,7 @@ def main():
             verdict = "OK" if res["real_time"] <= ceiling else "REGRESSION"
             print(
                 f"{name}: {res['real_time']} {res['unit']} vs baseline "
-                f"'{baseline['label']}' {base['real_time']} "
+                f"'{gate['label']}' {base['real_time']} "
                 f"(ceiling {ceiling:.3f}, +{args.latency_regression}%): "
                 f"{verdict}"
             )

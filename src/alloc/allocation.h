@@ -40,6 +40,10 @@ class Allocation {
   /// exact fractions back to reproduce its pick sequence.
   void assign_exact(std::span<const double> fractions);
 
+  /// True iff assign_exact() accepts `fractions` — lets a restore path
+  /// decline a corrupt checkpoint before it mutates anything.
+  [[nodiscard]] static bool restorable(std::span<const double> fractions);
+
   [[nodiscard]] size_t size() const { return fractions_.size(); }
   [[nodiscard]] double operator[](size_t i) const { return fractions_[i]; }
   [[nodiscard]] const std::vector<double>& fractions() const {

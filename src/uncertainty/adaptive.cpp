@@ -382,9 +382,20 @@ size_t GovernedAdaptiveDispatcher::restore_state(
       return 0;
     }
   }
-  if (bank_.restore_state(state.subspan(3 + n, bank_len)) != bank_len) {
+  // Validate everything before committing anything: the bank restores
+  // into a copy, and the inner round-robin (restored last) either takes
+  // its whole segment or leaves itself unchanged.
+  EstimatorBank bank = bank_;
+  const auto fractions = state.subspan(3 + n + bank_len, n);
+  if (bank.restore_state(state.subspan(3 + n, bank_len)) != bank_len ||
+      !alloc::Allocation::restorable(fractions)) {
     return 0;
   }
+  const size_t inner = inner_->restore_state(state.subspan(own));
+  if (inner == 0) {
+    return 0;
+  }
+  bank_ = std::move(bank);
   assumed_rho_ = rho;
   last_now_ = state[1];
   arrivals_since_tick_ = static_cast<uint64_t>(ticks);
@@ -392,8 +403,8 @@ size_t GovernedAdaptiveDispatcher::restore_state(
   for (size_t i = 0; i < n; ++i) {
     available_[i] = state[3 + i] == 1.0;
   }
-  allocation_->assign_exact(state.subspan(3 + n + bank_len, n));
-  return own + inner_->restore_state(state.subspan(own));
+  allocation_->assign_exact(fractions);
+  return own + inner;
 }
 
 }  // namespace hs::uncertainty

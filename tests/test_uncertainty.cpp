@@ -596,6 +596,59 @@ TEST(GovernedAdaptive, ResetRestoresInitialState) {
   }
 }
 
+TEST(GovernedAdaptive, CorruptInnerStateLeavesDecoratorUnchanged) {
+  // The decorator's own prefix is valid but the inner round-robin's
+  // `next` is not: the restore must be declined as a whole, leaving the
+  // estimators, ρ and allocation as they were — the dispatcher then
+  // routes exactly like an untouched twin.
+  const std::vector<double> speeds = {4.0, 2.0, 1.0};
+  hs::uncertainty::AdaptiveOptions options;
+  options.mean_job_size = 1.0;
+  options.reestimate_every = 32;
+  options.governor.min_dwell = 0.0;
+  options.governor.min_improvement = 0.0;
+  auto drive = [](hs::uncertainty::GovernedAdaptiveDispatcher& d,
+                  double& t, double gap, int jobs,
+                  std::vector<size_t>* picks) {
+    hs::rng::Xoshiro256 gen(5);
+    for (int i = 0; i < jobs; ++i) {
+      t += gap;
+      d.on_arrival(t);
+      const size_t machine = d.pick(gen);
+      if (picks != nullptr) {
+        picks->push_back(machine);
+      }
+    }
+  };
+  hs::uncertainty::GovernedAdaptiveDispatcher donor(speeds, 0.5, options);
+  double donor_t = 0.0;
+  drive(donor, donor_t, 0.15, 400, nullptr);
+  std::vector<double> state;
+  donor.save_state(state);
+  const size_t n = speeds.size();
+  const size_t own = 3 + n + (4 + 5 * n) + n;
+  state[own + 2 * n] = std::numeric_limits<double>::quiet_NaN();
+
+  hs::uncertainty::GovernedAdaptiveDispatcher victim(speeds, 0.5, options);
+  hs::uncertainty::GovernedAdaptiveDispatcher twin(speeds, 0.5, options);
+  double victim_t = 0.0;
+  double twin_t = 0.0;
+  drive(victim, victim_t, 0.5, 100, nullptr);
+  drive(twin, twin_t, 0.5, 100, nullptr);
+  EXPECT_EQ(victim.restore_state(state), 0u);
+
+  std::vector<size_t> victim_picks;
+  std::vector<size_t> twin_picks;
+  drive(victim, victim_t, 0.5, 1000, &victim_picks);
+  drive(twin, twin_t, 0.5, 1000, &twin_picks);
+  EXPECT_EQ(victim_picks, twin_picks);
+  std::vector<double> victim_state;
+  std::vector<double> twin_state;
+  victim.save_state(victim_state);
+  twin.save_state(twin_state);
+  EXPECT_EQ(victim_state, twin_state);
+}
+
 // ---- End-to-end simulation behavior ----
 
 hs::cluster::SimulationConfig base_config() {
