@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 
 #include "rng/distributions.h"
 #include "util/check.h"
@@ -43,6 +44,10 @@ struct MomentCase {
   double mean_tol;   // relative
   double var_tol;    // relative
 };
+
+// Print the case by its label: the default byte dump includes a pointer,
+// which makes the listed test names differ from run to run.
+void PrintTo(const MomentCase& c, std::ostream* os) { *os << c.label; }
 
 class MomentMatch : public ::testing::TestWithParam<MomentCase> {};
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "rng/distributions.h"
@@ -49,6 +50,10 @@ struct P2Case {
   int distribution;  // 0=uniform, 1=exponential, 2=bounded pareto
   double rel_tol;
 };
+
+// Print the case by its label: the default byte dump includes a pointer,
+// which makes the listed test names differ from run to run.
+void PrintTo(const P2Case& c, std::ostream* os) { *os << c.label; }
 
 class P2Accuracy : public ::testing::TestWithParam<P2Case> {};
 

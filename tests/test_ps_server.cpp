@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "queueing/mm1.h"
@@ -158,6 +159,10 @@ struct Mm1Case {
   double mu;
   double speed;
 };
+
+// Print the case by its label: the default byte dump includes a pointer,
+// which makes the listed test names differ from run to run.
+void PrintTo(const Mm1Case& c, std::ostream* os) { *os << c.label; }
 
 class PsServerMm1 : public ::testing::TestWithParam<Mm1Case> {};
 
