@@ -102,7 +102,7 @@ void least_load_loop(benchmark::State& state,
     benchmark::DoNotOptimize(machine);
     // Keep queues bounded: report a departure for every pick.
     if (++since_report > 1) {
-      dispatcher->on_departure_report(machine);
+      dispatcher->on_departure_report(machine, 0.0, 1.0);
       since_report = 0;
     }
   }

@@ -7,7 +7,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "dispatch/fault_aware.h"
+#include "dispatch/decorator.h"
 #include "dispatch/hedged.h"
 #include "overload/admission.h"
 #include "overload/circuit_breaker.h"
@@ -94,69 +94,6 @@ std::unique_ptr<queueing::Server> make_server(const SimulationConfig& config,
   return nullptr;
 }
 
-/// Locate a GovernedAdaptiveDispatcher inside a (possibly decorated)
-/// scheduler: the adaptive policy masks natively, so fault-aware and
-/// circuit-breaker decorators hold it directly and never rebuild it (the
-/// returned pointer is stable for the run).
-uncertainty::GovernedAdaptiveDispatcher* find_adaptive(
-    dispatch::Dispatcher* dispatcher) {
-  if (auto* adaptive =
-          dynamic_cast<uncertainty::GovernedAdaptiveDispatcher*>(
-              dispatcher)) {
-    return adaptive;
-  }
-  if (auto* fault_aware =
-          dynamic_cast<dispatch::FaultAwareDispatcher*>(dispatcher)) {
-    return find_adaptive(&fault_aware->inner());
-  }
-  if (auto* breaker =
-          dynamic_cast<overload::CircuitBreakerDispatcher*>(dispatcher)) {
-    return find_adaptive(&breaker->inner());
-  }
-  if (auto* hedged = dynamic_cast<dispatch::HedgedDispatcher*>(dispatcher)) {
-    return find_adaptive(&hedged->inner());
-  }
-  return nullptr;
-}
-
-/// Locate a CircuitBreakerDispatcher anywhere in a decorator stack, so
-/// breaker transitions reach the trace sink (and the breaker-state
-/// gauges) even when hedging or fault-awareness wraps the breaker.
-overload::CircuitBreakerDispatcher* find_breaker(
-    dispatch::Dispatcher* dispatcher) {
-  if (auto* breaker =
-          dynamic_cast<overload::CircuitBreakerDispatcher*>(dispatcher)) {
-    return breaker;
-  }
-  if (auto* fault_aware =
-          dynamic_cast<dispatch::FaultAwareDispatcher*>(dispatcher)) {
-    return find_breaker(&fault_aware->inner());
-  }
-  if (auto* hedged = dynamic_cast<dispatch::HedgedDispatcher*>(dispatcher)) {
-    return find_breaker(&hedged->inner());
-  }
-  return nullptr;
-}
-
-/// Locate a HedgedDispatcher anywhere in a decorator stack (the three
-/// robustness decorators compose in any order). At most one per
-/// scheduler: the hedge lifecycle keys flights by job id, which a second
-/// hedging layer would double-book.
-dispatch::HedgedDispatcher* find_hedged(dispatch::Dispatcher* dispatcher) {
-  if (auto* hedged = dynamic_cast<dispatch::HedgedDispatcher*>(dispatcher)) {
-    return hedged;
-  }
-  if (auto* fault_aware =
-          dynamic_cast<dispatch::FaultAwareDispatcher*>(dispatcher)) {
-    return find_hedged(&fault_aware->inner());
-  }
-  if (auto* breaker =
-          dynamic_cast<overload::CircuitBreakerDispatcher*>(dispatcher)) {
-    return find_hedged(&breaker->inner());
-  }
-  return nullptr;
-}
-
 /// Everything one run needs, wired together before the event loop starts.
 /// All simulation machinery (arrivals, speed changes, faults, delayed
 /// feedback) runs on typed events targeting this object, so the steady
@@ -180,6 +117,7 @@ class RunContext : private sim::EventTarget {
         metrics_(config.speeds.size()) {
     config.validate();
     HS_CHECK(!schedulers_.empty(), "at least one scheduler is required");
+    dispatch::Capabilities any_caps = 0;
     for (dispatch::Dispatcher* dispatcher : schedulers_) {
       HS_CHECK(dispatcher != nullptr, "null scheduler");
       HS_CHECK(dispatcher->machine_count() == config.speeds.size(),
@@ -187,10 +125,11 @@ class RunContext : private sim::EventTarget {
                                            << " != cluster size "
                                            << config.speeds.size());
       dispatcher->reset();
-      any_feedback_ = any_feedback_ || dispatcher->uses_feedback();
-      any_overload_feedback_ =
-          any_overload_feedback_ || dispatcher->uses_overload_feedback();
+      caps_.push_back(dispatcher->capabilities());
+      any_caps |= caps_.back();
     }
+    any_feedback_ = (any_caps & dispatch::kDepartureFeedback) != 0;
+    any_overload_feedback_ = (any_caps & dispatch::kOverloadFeedback) != 0;
     for (size_t i = 0; i < config.speeds.size(); ++i) {
       servers_.push_back(make_server(config, simulator_, i));
       servers_.back()->set_completion_callback(
@@ -271,7 +210,8 @@ class RunContext : private sim::EventTarget {
     // replays bit-identically to pre-network builds.
     hedged_.assign(schedulers_.size(), nullptr);
     for (size_t s = 0; s < schedulers_.size(); ++s) {
-      hedged_[s] = find_hedged(schedulers_[s]);
+      hedged_[s] =
+          dispatch::find_layer<dispatch::HedgedDispatcher>(schedulers_[s]);
       if (hedged_[s] != nullptr && hedged_[s]->config().enabled()) {
         net_on_ = true;
       }
@@ -314,17 +254,20 @@ class RunContext : private sim::EventTarget {
         }
       }
     }
-    adaptive_ = find_adaptive(schedulers_.front());
+    adaptive_ = dispatch::find_layer<uncertainty::GovernedAdaptiveDispatcher>(
+        schedulers_.front());
     if (trace_ != nullptr) {
       // Breaker decorators expose their own sink hook; wire the run's
       // sink in so trip/half-open/close transitions land in the trace.
       // Adaptive dispatchers likewise record estimate updates and
       // governor decisions.
       for (dispatch::Dispatcher* dispatcher : schedulers_) {
-        if (auto* breaker = find_breaker(dispatcher)) {
+        if (auto* breaker = dispatch::find_layer<
+                overload::CircuitBreakerDispatcher>(dispatcher)) {
           breaker->set_trace_sink(trace_);
         }
-        if (auto* adaptive = find_adaptive(dispatcher)) {
+        if (auto* adaptive = dispatch::find_layer<
+                uncertainty::GovernedAdaptiveDispatcher>(dispatcher)) {
           adaptive->set_trace_sink(trace_);
         }
       }
@@ -678,8 +621,9 @@ class RunContext : private sim::EventTarget {
     });
     // Breaker state per machine (0 closed, 1 half-open, 2 open; 0 when
     // no breaker decorates scheduler 0).
-    const overload::CircuitBreakerDispatcher* breaker =
-        find_breaker(schedulers_.front());
+    const auto* breaker =
+        dispatch::find_layer<overload::CircuitBreakerDispatcher>(
+            schedulers_.front());
     for (size_t m = 0; m < servers_.size(); ++m) {
       const std::string prefix = "m" + std::to_string(m);
       registry_->register_gauge(prefix + ".breaker_state", [breaker, m] {
@@ -814,7 +758,7 @@ class RunContext : private sim::EventTarget {
     const uncertainty::StalenessConfig& staleness =
         config_.uncertainty.staleness;
     for (size_t s = 0; s < schedulers_.size(); ++s) {
-      if (!schedulers_[s]->uses_feedback()) {
+      if (!wants(s, dispatch::kDepartureFeedback)) {
         continue;
       }
       for (size_t m = 0; m < servers_.size(); ++m) {
@@ -1023,6 +967,11 @@ class RunContext : private sim::EventTarget {
   /// §4.2 feedback latency: the event is noticed at the next periodic
   /// check — U(0, detection_interval) — plus an exponential message
   /// transfer delay.
+  /// True if scheduler `s` consumes the signal `capability`.
+  bool wants(size_t s, dispatch::Capabilities capability) const {
+    return (caps_[s] & capability) != 0;
+  }
+
   double feedback_delay(rng::Xoshiro256& gen, size_t machine) {
     const NetworkConfig& net = config_.network;
     double delay = 0.0;
@@ -1085,7 +1034,7 @@ class RunContext : private sim::EventTarget {
     // Failure-aware schedulers learn of the transition after their own
     // detection delay; each detects independently.
     for (size_t s = 0; s < schedulers_.size(); ++s) {
-      if (!schedulers_[s]->uses_fault_feedback()) {
+      if (!wants(s, dispatch::kFaultFeedback)) {
         continue;
       }
       const double delay = feedback_delay(fault_delay_gen_, machine);
@@ -1506,7 +1455,7 @@ class RunContext : private sim::EventTarget {
     const size_t scheduler = flight.scheduler;
     net_maybe_gc(it);  // invalidates `flight`
     if (any_feedback_ && !stale_feedback_ &&
-        schedulers_[scheduler]->uses_feedback()) {
+        wants(scheduler, dispatch::kDepartureFeedback)) {
       net_send_report(scheduler, static_cast<size_t>(completion.machine),
                       completion.job.size);
     }
@@ -1653,10 +1602,10 @@ class RunContext : private sim::EventTarget {
   /// only), suspicion also reaches circuit breakers: a false suspicion
   /// during a partition must trip breakers and reroute, not evict jobs.
   void net_state_report(size_t machine, bool up) {
-    for (dispatch::Dispatcher* scheduler : schedulers_) {
-      if (scheduler->uses_fault_feedback() ||
-          scheduler->uses_overload_feedback()) {
-        scheduler->on_machine_state_report(machine, up);
+    for (size_t s = 0; s < schedulers_.size(); ++s) {
+      if (wants(s, dispatch::kFaultFeedback) ||
+          wants(s, dispatch::kOverloadFeedback)) {
+        schedulers_[s]->on_machine_state_report(machine, up);
       }
     }
   }
@@ -1682,7 +1631,7 @@ class RunContext : private sim::EventTarget {
                "completion for untracked job " << completion.job.id);
       const size_t scheduler = it->second;
       job_scheduler_.erase(it);
-      if (schedulers_[scheduler]->uses_feedback()) {
+      if (wants(scheduler, dispatch::kDepartureFeedback)) {
         // §4.2: the machine notices the departure at its next 1 Hz load
         // check — U(0,1) s — then a message reaches the scheduler after
         // an exponential transfer delay of mean 0.05 s.
@@ -1700,6 +1649,9 @@ class RunContext : private sim::EventTarget {
 
   const SimulationConfig& config_;
   std::vector<dispatch::Dispatcher*> schedulers_;
+  // Per-scheduler capabilities(), read once at run start: a stack's
+  // capability mask is fixed for its lifetime.
+  std::vector<dispatch::Capabilities> caps_;
   SchedulerSplit split_;
   bool any_feedback_ = false;
   size_t split_cursor_ = 0;

@@ -96,7 +96,7 @@ struct SimulationConfig {
   /// resident jobs are lost; each loss is detected by the scheduler after
   /// the §4.2 detection-interval + message-delay model (drawn from a
   /// dedicated stream), then retried under `faults.retry`. Failure-aware
-  /// dispatchers (uses_fault_feedback()) additionally receive delayed
+  /// dispatchers (dispatch::kFaultFeedback) additionally receive delayed
   /// machine up/down reports. Retried dispatches count toward
   /// `dispatched_jobs` and the per-machine dispatch fractions.
   FaultConfig faults;
@@ -110,7 +110,7 @@ struct SimulationConfig {
   /// may be *shed* before dispatch (terminal — never dispatched or
   /// retried); with a retry budget, retries beyond the budget become
   /// immediate drops. Overload-aware dispatchers
-  /// (uses_overload_feedback(), e.g. overload::CircuitBreakerDispatcher)
+  /// (dispatch::kOverloadFeedback, e.g. overload::CircuitBreakerDispatcher)
   /// additionally receive per-dispatch accept/reject outcomes. See
   /// docs/FAULT_MODEL.md §6 for the taxonomy.
   overload::OverloadConfig overload;

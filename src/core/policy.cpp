@@ -224,9 +224,9 @@ void policy_fractions_masked_into(PolicyKind kind,
   }
 }
 
-std::function<void(const std::vector<bool>&, std::vector<double>&)>
-policy_masked_reweighter(PolicyKind kind, std::vector<double> speeds,
-                         double rho, double rho_estimate_factor) {
+dispatch::SurvivorMask::Reweighter policy_masked_reweighter(
+    PolicyKind kind, std::vector<double> speeds, double rho,
+    double rho_estimate_factor) {
   // std::function requires copyability, so the scratch is shared; the
   // function object is invoked from one dispatcher stack at a time.
   auto scratch = std::make_shared<MaskedReweightScratch>();
@@ -238,39 +238,28 @@ policy_masked_reweighter(PolicyKind kind, std::vector<double> speeds,
   };
 }
 
+namespace {
+
+/// The survivor reweighter a masking decorator needs over the policy's
+/// dispatcher: none for Least-Load, which masks natively and keeps its
+/// queue estimates across transitions.
+dispatch::SurvivorMask::Reweighter survivor_reweighter(
+    PolicyKind kind, const std::vector<double>& speeds, double rho,
+    double rho_estimate_factor) {
+  if (is_dynamic(kind)) {
+    return {};
+  }
+  return policy_masked_reweighter(kind, speeds, rho, rho_estimate_factor);
+}
+
+}  // namespace
+
 std::unique_ptr<dispatch::Dispatcher> make_fault_aware_dispatcher(
     PolicyKind kind, const std::vector<double>& speeds, double rho,
     double rho_estimate_factor, dispatch::SamplerKind sampler) {
-  if (kind == PolicyKind::kLeastLoad) {
-    // Least-Load masks natively; its queue estimates survive transitions.
-    return std::make_unique<dispatch::FaultAwareDispatcher>(
-        std::make_unique<dispatch::LeastLoadDispatcher>(speeds));
-  }
-  auto rebuilder = [kind, speeds, rho, rho_estimate_factor,
-                    sampler](const std::vector<bool>& available)
-      -> std::unique_ptr<dispatch::Dispatcher> {
-    alloc::Allocation allocation = policy_allocation_masked(
-        kind, speeds, rho, available, rho_estimate_factor);
-    switch (kind) {
-      case PolicyKind::kWRAN:
-      case PolicyKind::kORAN:
-        return std::make_unique<dispatch::RandomDispatcher>(
-            std::move(allocation), sampler);
-      case PolicyKind::kWRR:
-      case PolicyKind::kORR:
-        return std::make_unique<dispatch::SmoothRoundRobinDispatcher>(
-            std::move(allocation));
-      case PolicyKind::kLeastLoad:
-        break;
-    }
-    HS_CHECK(false, "unreachable policy kind");
-    return nullptr;
-  };
-  auto inner = make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor,
-                                      sampler);
   return std::make_unique<dispatch::FaultAwareDispatcher>(
-      std::move(inner), std::move(rebuilder),
-      policy_masked_reweighter(kind, speeds, rho, rho_estimate_factor));
+      make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor, sampler),
+      survivor_reweighter(kind, speeds, rho, rho_estimate_factor));
 }
 
 cluster::DispatcherFactory fault_aware_dispatcher_factory(
@@ -286,36 +275,9 @@ std::unique_ptr<dispatch::Dispatcher> make_circuit_breaker_dispatcher(
     PolicyKind kind, const std::vector<double>& speeds, double rho,
     const overload::CircuitBreakerConfig& breaker, double rho_estimate_factor,
     dispatch::SamplerKind sampler) {
-  if (kind == PolicyKind::kLeastLoad) {
-    // Least-Load masks natively; its queue estimates survive trips.
-    return std::make_unique<overload::CircuitBreakerDispatcher>(
-        std::make_unique<dispatch::LeastLoadDispatcher>(speeds), breaker);
-  }
-  auto rebuilder = [kind, speeds, rho, rho_estimate_factor,
-                    sampler](const std::vector<bool>& available)
-      -> std::unique_ptr<dispatch::Dispatcher> {
-    alloc::Allocation allocation = policy_allocation_masked(
-        kind, speeds, rho, available, rho_estimate_factor);
-    switch (kind) {
-      case PolicyKind::kWRAN:
-      case PolicyKind::kORAN:
-        return std::make_unique<dispatch::RandomDispatcher>(
-            std::move(allocation), sampler);
-      case PolicyKind::kWRR:
-      case PolicyKind::kORR:
-        return std::make_unique<dispatch::SmoothRoundRobinDispatcher>(
-            std::move(allocation));
-      case PolicyKind::kLeastLoad:
-        break;
-    }
-    HS_CHECK(false, "unreachable policy kind");
-    return nullptr;
-  };
-  auto inner = make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor,
-                                      sampler);
   return std::make_unique<overload::CircuitBreakerDispatcher>(
-      std::move(inner), breaker, std::move(rebuilder),
-      policy_masked_reweighter(kind, speeds, rho, rho_estimate_factor));
+      make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor, sampler),
+      breaker, survivor_reweighter(kind, speeds, rho, rho_estimate_factor));
 }
 
 std::unique_ptr<dispatch::Dispatcher> make_hedged_dispatcher(

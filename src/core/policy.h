@@ -12,7 +12,6 @@
 // system utilization.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "dispatch/dispatcher.h"
 #include "dispatch/hedged.h"
 #include "dispatch/random_dispatcher.h"
+#include "dispatch/survivor_mask.h"
 #include "overload/circuit_breaker.h"
 #include "uncertainty/adaptive.h"
 
@@ -104,20 +104,20 @@ void policy_fractions_masked_into(PolicyKind kind,
                                   MaskedReweightScratch& scratch);
 
 /// A survivor reweighter for FaultAwareDispatcher / CircuitBreaker
-/// (their Reweighter slots share this signature): computes the policy's
-/// masked fractions into the caller's buffer, allocation-free once its
+/// (dispatch::SurvivorMask::Reweighter): computes the policy's masked
+/// fractions into the caller's buffer, allocation-free once its
 /// internal scratch is warm. One instance owns one scratch — share it
 /// across the decorators of a single dispatcher stack only.
-[[nodiscard]] std::function<void(const std::vector<bool>&,
-                                 std::vector<double>&)>
-policy_masked_reweighter(PolicyKind kind, std::vector<double> speeds,
-                         double rho, double rho_estimate_factor = 1.0);
+[[nodiscard]] dispatch::SurvivorMask::Reweighter policy_masked_reweighter(
+    PolicyKind kind, std::vector<double> speeds, double rho,
+    double rho_estimate_factor = 1.0);
 
 /// Build a failure-aware dispatcher for the policy: the policy dispatcher
 /// wrapped in a dispatch::FaultAwareDispatcher that blacklists machines
-/// reported down. Static policies degrade by recomputing their allocation
-/// over the survivors (policy_allocation_masked); Least-Load masks its
-/// candidate set natively.
+/// reported down. Static policies degrade by reweighting in place to
+/// their allocation recomputed over the survivors
+/// (policy_fractions_masked_into); Least-Load masks its candidate set
+/// natively.
 [[nodiscard]] std::unique_ptr<dispatch::Dispatcher>
 make_fault_aware_dispatcher(PolicyKind kind,
                             const std::vector<double>& speeds, double rho,
@@ -133,10 +133,10 @@ make_fault_aware_dispatcher(PolicyKind kind,
 /// Build a circuit-breaking dispatcher for the policy: the policy
 /// dispatcher wrapped in an overload::CircuitBreakerDispatcher that
 /// trips machines on consecutive dispatch rejections/losses. Static
-/// policies route around tripped machines by recomputing their
-/// allocation over the closed-breaker set (policy_allocation_masked —
-/// the same survivor-reallocation rebuild the fault decorator uses);
-/// Least-Load masks its candidate set natively.
+/// policies route around tripped machines by reweighting to their
+/// allocation recomputed over the closed-breaker set (the same survivor
+/// reweight the fault decorator uses); Least-Load masks its candidate
+/// set natively.
 [[nodiscard]] std::unique_ptr<dispatch::Dispatcher>
 make_circuit_breaker_dispatcher(PolicyKind kind,
                                 const std::vector<double>& speeds,
@@ -175,7 +175,7 @@ make_circuit_breaker_dispatcher(PolicyKind kind,
 /// adaptive loop changes weights, not mechanism. Must not be called for
 /// kLeastLoad, which has no allocation to adapt. The returned dispatcher
 /// masks natively, so FaultAwareDispatcher / CircuitBreakerDispatcher
-/// wrap it directly (no rebuilder needed).
+/// wrap it directly.
 [[nodiscard]] std::unique_ptr<dispatch::Dispatcher> make_adaptive_dispatcher(
     PolicyKind kind, const std::vector<double>& believed_speeds,
     double believed_rho, uncertainty::AdaptiveOptions options = {});

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,9 +35,32 @@
 
 namespace hs::dispatch {
 
+/// Optional inputs a policy consumes (Dispatcher::capabilities()). The
+/// harness reads the mask once per run and pays for a signal — job
+/// sizes at dispatch, delayed reports — only when some policy asked.
+using Capabilities = uint32_t;
+/// Job sizes are needed at dispatch time (pick_sized).
+inline constexpr Capabilities kSizeAware = 1u << 0;
+/// Departure reports (on_departure_report) or, under the staleness
+/// model, the load snapshots that replace them (on_load_report).
+inline constexpr Capabilities kDepartureFeedback = 1u << 1;
+/// Machine crash/recovery reports (on_machine_state_report).
+inline constexpr Capabilities kFaultFeedback = 1u << 2;
+/// Dispatch outcomes (on_dispatch_result); overload-reacting policies
+/// also receive heartbeat suspicions through on_machine_state_report.
+inline constexpr Capabilities kOverloadFeedback = 1u << 3;
+
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
+
+  /// The Capability bits this policy needs; a decorator returns its
+  /// wrapped dispatcher's mask OR its own bits. Fixed for the lifetime
+  /// of a dispatcher.
+  [[nodiscard]] virtual Capabilities capabilities() const { return 0; }
+  [[nodiscard]] bool has(Capabilities wanted) const {
+    return (capabilities() & wanted) == wanted;
+  }
 
   /// Choose the destination machine for the next arriving job. `gen` is
   /// the dispatching decision stream (only random dispatchers draw from
@@ -51,9 +75,6 @@ class Dispatcher {
     (void)size;
     return pick(gen);
   }
-
-  /// True if the policy requires job sizes at dispatch time.
-  [[nodiscard]] virtual bool uses_size() const { return false; }
 
   /// Second-choice pick for hedged dispatch (dispatch/hedged.h): choose
   /// a machine for a duplicate copy of a job already in flight to
@@ -80,29 +101,18 @@ class Dispatcher {
   virtual void on_arrival(double now) { (void)now; }
 
   /// Dynamic feedback: a (possibly delayed) report that one job departed
-  /// from `machine`. Static dispatchers ignore it.
-  virtual void on_departure_report(size_t machine) { (void)machine; }
-
-  /// Timed variant: `now` is the report's *delivery* time (the departure
-  /// itself happened earlier by the §4.2 detection + message delay).
-  /// Policies that estimate rates from departures override this; the
-  /// default forwards to the untimed variant so existing dispatchers are
-  /// unaffected.
-  virtual void on_departure_report(size_t machine, double now) {
-    (void)now;
-    on_departure_report(machine);
-  }
-
-  /// Sized variant: the report also carries the work the departed job
-  /// consumed, in base-speed seconds — a machine can meter a finished
-  /// job's CPU, so this is scheduler-observable information. Speed
-  /// estimators need it (under heavy-tailed sizes a job-count throughput
-  /// is dominated by small jobs and badly biased); everyone else gets
-  /// the default, which drops the size and forwards to the timed
-  /// variant. The simulation always calls this form.
+  /// from `machine`. `now` is the report's *delivery* time (the departure
+  /// itself happened earlier by the §4.2 detection + message delay), and
+  /// `work` is what the departed job consumed in base-speed seconds — a
+  /// machine can meter a finished job's CPU, so this is scheduler-
+  /// observable. Least-Load only counts the report; speed estimators
+  /// need the work (under heavy-tailed sizes a job-count throughput is
+  /// dominated by small jobs and badly biased). Static dispatchers
+  /// ignore it.
   virtual void on_departure_report(size_t machine, double now, double work) {
+    (void)machine;
+    (void)now;
     (void)work;
-    on_departure_report(machine, now);
   }
 
   /// Stale-feedback variant (uncertainty layer): a queue-length snapshot
@@ -116,10 +126,6 @@ class Dispatcher {
     (void)queue_length;
   }
 
-  /// True if the scheduler must deliver departure reports (i.e. the
-  /// policy is dynamic and pays the associated overhead).
-  [[nodiscard]] virtual bool uses_feedback() const { return false; }
-
   /// Replace the allocation fractions in place, keeping the machine
   /// count. Equivalent to constructing a fresh dispatcher over the new
   /// fractions (routing state is reset), but without allocating: the
@@ -127,8 +133,7 @@ class Dispatcher {
   /// override this to reuse their internal buffers, which is what lets
   /// survivor rebuilds and adaptive re-allocations run allocation-free.
   /// Returns true if the policy supports in-place reweighting; the
-  /// default returns false and leaves the dispatcher unchanged — callers
-  /// then fall back to reconstructing it.
+  /// default returns false and leaves the dispatcher unchanged.
   virtual bool rebuild_fractions(std::span<const double> fractions) {
     (void)fractions;
     return false;
@@ -137,8 +142,8 @@ class Dispatcher {
   /// Restrict routing to machines with available[i] == true (the fault
   /// layer's blacklist). Returns true if the policy supports masking
   /// natively (Least-Load, AdaptiveORR); the default returns false and
-  /// leaves routing unchanged — callers then rebuild the dispatcher over
-  /// the survivors instead (see FaultAwareDispatcher).
+  /// leaves routing unchanged — the masking decorators then reweight the
+  /// dispatcher over the survivors instead (dispatch/survivor_mask.h).
   virtual bool set_available_mask(const std::vector<bool>& available) {
     (void)available;
     return false;
@@ -156,20 +161,12 @@ class Dispatcher {
     (void)now;
   }
 
-  /// True if the scheduler should report dispatch outcomes (the policy
-  /// reacts to rejections — see overload/circuit_breaker.h).
-  [[nodiscard]] virtual bool uses_overload_feedback() const { return false; }
-
   /// A (possibly delayed) report that `machine` crashed (up == false) or
   /// recovered (up == true). Fault-oblivious dispatchers ignore it.
   virtual void on_machine_state_report(size_t machine, bool up) {
     (void)machine;
     (void)up;
   }
-
-  /// True if the scheduler should deliver machine crash/recovery reports
-  /// (the policy is failure-aware and pays the detection overhead).
-  [[nodiscard]] virtual bool uses_fault_feedback() const { return false; }
 
   /// Checkpoint channel (serving/snapshot.h). Append the policy's
   /// learned and routing state — fractions, cadences, load estimates,

@@ -7,185 +7,63 @@
 namespace hs::dispatch {
 
 FaultAwareDispatcher::FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner)
-    : FaultAwareDispatcher(std::move(inner), Rebuilder{}) {}
+    : FaultAwareDispatcher(std::move(inner), Reweighter{}) {}
 
 FaultAwareDispatcher::FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner,
-                                           Rebuilder rebuilder,
                                            Reweighter reweighter)
-    : inner_(std::move(inner)),
-      rebuilder_(std::move(rebuilder)),
-      reweighter_(std::move(reweighter)) {
-  HS_CHECK(inner_ != nullptr, "fault-aware decorator needs a dispatcher");
-  available_.assign(inner_->machine_count(), true);
-  outer_mask_.assign(inner_->machine_count(), true);
-  native_mask_ = inner_->set_available_mask(available_);
-  HS_CHECK(native_mask_ || rebuilder_,
-           "inner dispatcher \""
-               << inner_->name()
-               << "\" does not support masking and no rebuilder was given");
-}
+    : DecoratorDispatcher(std::move(inner)),
+      mask_(this->inner(), std::move(reweighter)) {}
 
-size_t FaultAwareDispatcher::pick(rng::Xoshiro256& gen) {
-  return inner_->pick(gen);
-}
-
-size_t FaultAwareDispatcher::pick_sized(rng::Xoshiro256& gen, double size) {
-  return inner_->pick_sized(gen, size);
-}
-
-size_t FaultAwareDispatcher::pick_hedge(rng::Xoshiro256& gen, double size,
-                                        size_t exclude) {
-  return inner_->pick_hedge(gen, size, exclude);
-}
-
-bool FaultAwareDispatcher::uses_size() const { return inner_->uses_size(); }
-
-void FaultAwareDispatcher::reset() {
-  available_.assign(available_.size(), true);
-  outer_mask_.assign(outer_mask_.size(), true);
-  rebuilds_ = 0;
-  if (native_mask_) {
-    inner_->reset();
-    inner_->set_available_mask(available_);
-    return;
-  }
-  if (reweighter_) {
-    // In-place restore: full-availability fractions into the existing
-    // inner dispatcher (rebuild_fractions resets its routing state).
-    reweighter_(available_, fractions_scratch_);
-    inner_->reset();
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      return;
-    }
-  }
-  // A fresh rebuild restores the full-availability routing state (the
-  // rebuilder returns dispatchers in their initial state).
-  inner_ = rebuilder_(available_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
-}
+void FaultAwareDispatcher::reset() { mask_.reset(); }
 
 std::string FaultAwareDispatcher::name() const {
-  return "fault-aware(" + inner_->name() + ")";
-}
-
-size_t FaultAwareDispatcher::machine_count() const {
-  return available_.size();
-}
-
-void FaultAwareDispatcher::on_arrival(double now) { inner_->on_arrival(now); }
-
-void FaultAwareDispatcher::on_departure_report(size_t machine) {
-  inner_->on_departure_report(machine);
-}
-
-void FaultAwareDispatcher::on_departure_report(size_t machine, double now) {
-  inner_->on_departure_report(machine, now);
-}
-
-void FaultAwareDispatcher::on_departure_report(size_t machine, double now,
-                                               double work) {
-  inner_->on_departure_report(machine, now, work);
-}
-
-void FaultAwareDispatcher::on_load_report(size_t machine,
-                                          uint64_t queue_length) {
-  inner_->on_load_report(machine, queue_length);
-}
-
-bool FaultAwareDispatcher::uses_feedback() const {
-  return inner_->uses_feedback();
-}
-
-void FaultAwareDispatcher::on_dispatch_result(size_t machine, bool accepted,
-                                              double now) {
-  inner_->on_dispatch_result(machine, accepted, now);
+  return "fault-aware(" + inner().name() + ")";
 }
 
 size_t FaultAwareDispatcher::down_count() const {
   return static_cast<size_t>(
-      std::count(available_.begin(), available_.end(), false));
+      std::count(available().begin(), available().end(), false));
 }
 
 void FaultAwareDispatcher::on_machine_state_report(size_t machine, bool up) {
-  HS_CHECK(machine < available_.size(),
+  HS_CHECK(machine < available().size(),
            "machine index out of range: " << machine);
-  if (available_[machine] == up) {
+  if (available()[machine] == up) {
     return;  // duplicate report — already in the believed state
   }
-  available_[machine] = up;
-  apply_mask();
+  mask_.set_own(machine, up);
+  mask_.apply();
 }
 
 bool FaultAwareDispatcher::set_available_mask(
     const std::vector<bool>& available) {
-  HS_CHECK(available.size() == available_.size(),
-           "availability mask size " << available.size()
-                                     << " != machine count "
-                                     << available_.size());
-  outer_mask_ = available;
-  apply_mask();
+  mask_.set_outer(available);
   return true;
 }
 
-void FaultAwareDispatcher::apply_mask() {
-  effective_.assign(available_.size(), false);
-  size_t routable = 0;
-  for (size_t i = 0; i < available_.size(); ++i) {
-    effective_[i] = available_[i] && outer_mask_[i];
-    routable += effective_[i] ? 1 : 0;
-  }
-  if (native_mask_) {
-    inner_->set_available_mask(effective_);
-    return;
-  }
-  if (routable == 0) {
-    // Every machine is believed down or masked from above: nothing
-    // useful to rebuild over. Keep the previous routing; dispatched jobs
-    // are lost and retried by the fault layer until a recovery report
-    // arrives.
-    return;
-  }
-  if (reweighter_) {
-    // Allocation-free path: survivor fractions into the scratch buffer,
-    // then re-weight the live inner dispatcher in place.
-    reweighter_(effective_, fractions_scratch_);
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      ++rebuilds_;
-      return;
-    }
-  }
-  inner_ = rebuilder_(effective_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
-  ++rebuilds_;
-}
-
 size_t FaultAwareDispatcher::save_state(std::vector<double>& out) const {
-  const size_t n = available_.size();
+  const size_t n = available().size();
   out.reserve(out.size() + n);
   for (size_t i = 0; i < n; ++i) {
-    out.push_back(available_[i] ? 1.0 : 0.0);
+    out.push_back(available()[i] ? 1.0 : 0.0);
   }
-  return n + inner_->save_state(out);
+  return n + inner().save_state(out);
 }
 
 size_t FaultAwareDispatcher::restore_state(std::span<const double> state) {
-  const size_t n = available_.size();
+  const size_t n = available().size();
   if (state.size() < n) {
     return 0;
   }
+  std::vector<bool> restored(n);
   for (size_t i = 0; i < n; ++i) {
     if (!(state[i] == 0.0 || state[i] == 1.0)) {
       return 0;
     }
+    restored[i] = state[i] == 1.0;
   }
-  for (size_t i = 0; i < n; ++i) {
-    available_[i] = state[i] == 1.0;
-  }
-  // Re-derive the effective mask (rebuild mode may swap the inner
-  // dispatcher here) *before* restoring inner state, so the restored
-  // state lands in the dispatcher that will serve the next pick.
-  apply_mask();
-  return n + inner_->restore_state(state.subspan(n));
+  const auto inner_consumed = mask_.restore(restored, state.subspan(n));
+  return inner_consumed ? n + *inner_consumed : 0;
 }
 
 }  // namespace hs::dispatch

@@ -3,134 +3,86 @@
 // Wraps any Dispatcher and consumes the fault layer's delayed machine
 // crash/recovery reports (cluster/faults.h): machines reported down are
 // blacklisted, and routing is restricted to the survivors until the
-// recovery report arrives. Two composition modes, picked automatically:
+// recovery report arrives. The blacklist reaches the wrapped dispatcher
+// through a SurvivorMask (dispatch/survivor_mask.h): natively for
+// Least-Load, the adaptive ORRs and other masking decorators, or — for
+// the static allocation-based dispatchers (WRAN/ORAN/WRR/ORR), which
+// have no mask concept — by a Reweighter that recomputes the allocation
+// over the survivors and reweights the dispatcher in place (e.g. the
+// Algorithm-1 optimized allocation re-solved over the survivors —
+// graceful ORR degradation).
 //
-//  * Native masking — the inner dispatcher handles blacklists itself
-//    (Least-Load, AdaptiveORR expose set_available_mask). The decorator
-//    just forwards the mask; inner state (queue estimates, the ρ̂
-//    estimator) survives across fault transitions.
-//  * Rebuild — static allocation-based dispatchers (WRAN/ORAN/WRR/ORR)
-//    have no mask concept, so the caller supplies a Rebuilder that
-//    constructs a fresh inner dispatcher routing only to the available
-//    machines (e.g. the Algorithm-1 optimized allocation recomputed over
-//    the survivors — graceful ORR degradation). The decorator swaps the
-//    inner dispatcher on every fault transition.
-//
-// core::make_fault_aware_dispatcher() wires both modes for the paper's
-// policies; docs/FAULT_MODEL.md discusses the semantics.
+// core::make_fault_aware_dispatcher() wires the right mode for the
+// paper's policies; docs/FAULT_MODEL.md discusses the semantics.
 //
 // Threading: caller-serialized (dispatch/dispatcher.h) — picks forward
-// to the inner dispatcher, and fault reports can swap the inner
-// dispatcher wholesale (rebuild mode), so no call may overlap another.
+// to the inner dispatcher, and fault reports reweight or re-mask it, so
+// no call may overlap another.
 #pragma once
 
-#include <functional>
 #include <memory>
 
-#include "dispatch/dispatcher.h"
+#include "dispatch/decorator.h"
+#include "dispatch/survivor_mask.h"
 
 namespace hs::dispatch {
 
-class FaultAwareDispatcher final : public Dispatcher {
+class FaultAwareDispatcher final : public DecoratorDispatcher {
  public:
-  /// Builds a fresh dispatcher (over the full machine-index space) that
-  /// routes only to machines with available[i] == true. Called with an
-  /// all-true mask on reset. When every machine is down the decorator
-  /// does not call the rebuilder; it routes over the full set instead
-  /// (the jobs are lost either way, and the fault layer retries them).
-  using Rebuilder =
-      std::function<std::unique_ptr<Dispatcher>(const std::vector<bool>&)>;
-
-  /// Computes survivor allocation fractions (over the full machine-index
-  /// space, zeros for unavailable machines) into `fractions` — the
-  /// allocation-free fast path of rebuild mode. When supplied, fault
-  /// transitions re-weight the existing inner dispatcher in place via
-  /// Dispatcher::rebuild_fractions() instead of constructing a fresh one;
-  /// the Rebuilder remains the fallback (and the reset path for inner
-  /// dispatchers that decline in-place reweighting).
-  using Reweighter =
-      std::function<void(const std::vector<bool>&, std::vector<double>&)>;
+  using Reweighter = SurvivorMask::Reweighter;
 
   /// Native-masking mode: `inner` must accept set_available_mask.
   explicit FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner);
 
-  /// Rebuild mode: `inner` is the full-availability dispatcher,
-  /// `rebuilder` produces replacements as machines fail and recover.
-  /// The optional `reweighter` upgrades fault transitions to in-place,
-  /// allocation-free reweights of the existing inner dispatcher.
+  /// Reweighting mode for a fraction-driven `inner` (it must accept
+  /// rebuild_fractions): fault transitions re-weight it in place with
+  /// the fractions `reweighter` computes over the survivors. An inner
+  /// dispatcher that masks natively ignores the reweighter.
   FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner,
-                       Rebuilder rebuilder, Reweighter reweighter = {});
+                       Reweighter reweighter);
 
-  [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
-  [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
-                                  double size) override;
-  [[nodiscard]] size_t pick_hedge(rng::Xoshiro256& gen, double size,
-                                  size_t exclude) override;
-  [[nodiscard]] bool uses_size() const override;
+  [[nodiscard]] Capabilities capabilities() const override {
+    return inner().capabilities() | kFaultFeedback;
+  }
   void reset() override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] size_t machine_count() const override;
 
-  void on_arrival(double now) override;
-  void on_departure_report(size_t machine) override;
-  void on_departure_report(size_t machine, double now) override;
-  void on_departure_report(size_t machine, double now, double work) override;
-  void on_load_report(size_t machine, uint64_t queue_length) override;
-  [[nodiscard]] bool uses_feedback() const override;
-
+  /// Consumes the report: the blacklist changes and the mask is re-
+  /// applied; the wrapped dispatcher sees only the resulting mask.
   void on_machine_state_report(size_t machine, bool up) override;
-  [[nodiscard]] bool uses_fault_feedback() const override { return true; }
-
-  /// Dispatch outcomes are not this decorator's signal (it acts on
-  /// crash/suspicion reports), but a circuit breaker stacked *inside*
-  /// needs them — forward verbatim so the three robustness decorators
-  /// compose in any order.
-  void on_dispatch_result(size_t machine, bool accepted, double now) override;
-  [[nodiscard]] bool uses_overload_feedback() const override {
-    return inner_->uses_overload_feedback();
-  }
 
   /// Native masking on behalf of an *outer* decorator (a circuit breaker
   /// or another fault layer stacked on top): the outer mask is ANDed
   /// with this decorator's own crash blacklist before being pushed down,
   /// so Hedged/FaultAware/CircuitBreaker compose in any order. Always
-  /// returns true — the decorator absorbs the mask even when the inner
-  /// dispatcher needs the rebuilder.
+  /// returns true.
   bool set_available_mask(const std::vector<bool>& available) override;
+
+  /// Declined: in-place fractions from above would bypass the blacklist.
+  bool rebuild_fractions(std::span<const double> fractions) override {
+    (void)fractions;
+    return false;
+  }
 
   /// Checkpoint: this layer's crash blacklist (n flags), then the inner
   /// dispatcher's state — a stack serializes outside-in. The outer mask
   /// is not saved: whoever imposed it re-imposes it on its own restore.
+  /// A declined restore leaves the blacklist and the inner dispatcher as
+  /// they were.
   size_t save_state(std::vector<double>& out) const override;
   size_t restore_state(std::span<const double> state) override;
 
   /// Current availability as last reported (true = believed up).
   [[nodiscard]] const std::vector<bool>& available() const {
-    return available_;
+    return mask_.own();
   }
   [[nodiscard]] size_t down_count() const;
-  /// Inner-dispatcher rebuilds since construction/reset (rebuild mode
-  /// only; native masking never rebuilds).
-  [[nodiscard]] uint64_t rebuilds() const { return rebuilds_; }
-  [[nodiscard]] const Dispatcher& inner() const { return *inner_; }
-  /// Mutable access for decorator-aware wiring (e.g. handing a trace
-  /// sink to a wrapped adaptive dispatcher). Stable only in native-
-  /// masking mode — rebuild mode replaces the inner dispatcher on fault
-  /// transitions.
-  [[nodiscard]] Dispatcher& inner() { return *inner_; }
+  /// Survivor reweights since construction/reset (reweighting mode
+  /// only; native masking never reweights).
+  [[nodiscard]] uint64_t rebuilds() const { return mask_.rebuilds(); }
 
  private:
-  void apply_mask();
-
-  std::unique_ptr<Dispatcher> inner_;
-  Rebuilder rebuilder_;
-  Reweighter reweighter_;
-  std::vector<bool> available_;
-  std::vector<bool> outer_mask_;  // restriction imposed from above
-  std::vector<bool> effective_;   // scratch: available_ AND outer_mask_
-  std::vector<double> fractions_scratch_;  // reweighter output buffer
-  bool native_mask_ = false;
-  uint64_t rebuilds_ = 0;
+  SurvivorMask mask_;
 };
 
 }  // namespace hs::dispatch

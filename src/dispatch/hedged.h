@@ -22,7 +22,9 @@
 //
 // Composes in any order with FaultAwareDispatcher and
 // CircuitBreakerDispatcher: every hook, including set_available_mask,
-// is forwarded verbatim.
+// rebuild_fractions and the checkpoint channel, is forwarded verbatim
+// (dispatch/decorator.h). The counters are run statistics, not routing
+// state, so save_state appends nothing of this layer's own.
 //
 // Threading: caller-serialized (dispatch/dispatcher.h) — the decorator
 // adds only counters, but picks and counter updates forward into the
@@ -31,7 +33,7 @@
 
 #include <memory>
 
-#include "dispatch/dispatcher.h"
+#include "dispatch/decorator.h"
 
 namespace hs::dispatch {
 
@@ -51,33 +53,13 @@ struct HedgingConfig {
   void validate() const;
 };
 
-class HedgedDispatcher final : public Dispatcher {
+class HedgedDispatcher final : public DecoratorDispatcher {
  public:
   HedgedDispatcher(std::unique_ptr<Dispatcher> inner,
                    HedgingConfig config);
 
-  [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
-  [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
-                                  double size) override;
-  [[nodiscard]] size_t pick_hedge(rng::Xoshiro256& gen, double size,
-                                  size_t exclude) override;
-  [[nodiscard]] bool uses_size() const override;
   void reset() override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] size_t machine_count() const override;
-
-  void on_arrival(double now) override;
-  void on_departure_report(size_t machine) override;
-  void on_departure_report(size_t machine, double now) override;
-  void on_departure_report(size_t machine, double now, double work) override;
-  void on_load_report(size_t machine, uint64_t queue_length) override;
-  [[nodiscard]] bool uses_feedback() const override;
-
-  bool set_available_mask(const std::vector<bool>& available) override;
-  void on_dispatch_result(size_t machine, bool accepted, double now) override;
-  [[nodiscard]] bool uses_overload_feedback() const override;
-  void on_machine_state_report(size_t machine, bool up) override;
-  [[nodiscard]] bool uses_fault_feedback() const override;
 
   [[nodiscard]] const HedgingConfig& config() const { return config_; }
 
@@ -96,11 +78,7 @@ class HedgedDispatcher final : public Dispatcher {
   /// late arrivals deduped after a win).
   [[nodiscard]] uint64_t cancelled() const { return cancelled_; }
 
-  [[nodiscard]] const Dispatcher& inner() const { return *inner_; }
-  [[nodiscard]] Dispatcher& inner() { return *inner_; }
-
  private:
-  std::unique_ptr<Dispatcher> inner_;
   HedgingConfig config_;
   uint64_t issued_ = 0;
   uint64_t won_ = 0;

@@ -127,7 +127,10 @@ size_t LeastLoadDispatcher::pick_hedge_scan(size_t exclude) {
   return best;
 }
 
-void LeastLoadDispatcher::on_departure_report(size_t machine) {
+void LeastLoadDispatcher::on_departure_report(size_t machine, double now,
+                                              double work) {
+  (void)now;
+  (void)work;
   HS_CHECK(machine < estimates_.size(),
            "machine index out of range: " << machine);
   // Reports only ever follow dispatches, so the estimate stays >= 0 —

@@ -57,8 +57,12 @@ class LeastLoadDispatcher final : public Dispatcher {
     return speeds_.size();
   }
 
-  void on_departure_report(size_t machine) override;
-  [[nodiscard]] bool uses_feedback() const override { return true; }
+  /// Counts the departure against `machine`'s estimate (time and work
+  /// are not needed).
+  void on_departure_report(size_t machine, double now, double work) override;
+  [[nodiscard]] Capabilities capabilities() const override {
+    return kDepartureFeedback;
+  }
 
   /// Stale snapshot (uncertainty staleness model): replace the estimate
   /// with the reported queue length. Between snapshots the dispatcher

@@ -43,7 +43,9 @@ class SitaDispatcher final : public Dispatcher {
   [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
   [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
                                   double size) override;
-  [[nodiscard]] bool uses_size() const override { return true; }
+  [[nodiscard]] Capabilities capabilities() const override {
+    return kSizeAware;
+  }
   void reset() override {}
   [[nodiscard]] std::string name() const override { return "sita-e"; }
   [[nodiscard]] size_t machine_count() const override {

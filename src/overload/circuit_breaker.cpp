@@ -33,84 +33,29 @@ const char* breaker_state_name(BreakerState state) {
 CircuitBreakerDispatcher::CircuitBreakerDispatcher(
     std::unique_ptr<dispatch::Dispatcher> inner,
     const CircuitBreakerConfig& config)
-    : CircuitBreakerDispatcher(std::move(inner), config, Rebuilder{}) {}
+    : CircuitBreakerDispatcher(std::move(inner), config, Reweighter{}) {}
 
 CircuitBreakerDispatcher::CircuitBreakerDispatcher(
     std::unique_ptr<dispatch::Dispatcher> inner,
-    const CircuitBreakerConfig& config, Rebuilder rebuilder,
-    Reweighter reweighter)
-    : config_(config),
-      rebuilder_(std::move(rebuilder)),
-      reweighter_(std::move(reweighter)) {
+    const CircuitBreakerConfig& config, Reweighter reweighter)
+    : DecoratorDispatcher(std::move(inner)),
+      config_(config),
+      breakers_(this->inner().machine_count()),
+      mask_(this->inner(), std::move(reweighter)),
+      next_reopen_time_(kNoReopen) {
   config_.validate();
-  init(std::move(inner));
-}
-
-void CircuitBreakerDispatcher::init(
-    std::unique_ptr<dispatch::Dispatcher> inner) {
-  inner_ = std::move(inner);
-  HS_CHECK(inner_ != nullptr, "circuit breaker needs a dispatcher");
-  breakers_.assign(inner_->machine_count(), Breaker{});
-  routable_.assign(inner_->machine_count(), true);
-  outer_mask_.assign(inner_->machine_count(), true);
-  next_reopen_time_ = kNoReopen;
-  native_mask_ = inner_->set_available_mask(routable_);
-  HS_CHECK(native_mask_ || rebuilder_,
-           "inner dispatcher \""
-               << inner_->name()
-               << "\" does not support masking and no rebuilder was given");
-}
-
-size_t CircuitBreakerDispatcher::pick(rng::Xoshiro256& gen) {
-  return inner_->pick(gen);
-}
-
-size_t CircuitBreakerDispatcher::pick_sized(rng::Xoshiro256& gen,
-                                            double size) {
-  return inner_->pick_sized(gen, size);
-}
-
-size_t CircuitBreakerDispatcher::pick_hedge(rng::Xoshiro256& gen, double size,
-                                            size_t exclude) {
-  return inner_->pick_hedge(gen, size, exclude);
-}
-
-bool CircuitBreakerDispatcher::uses_size() const {
-  return inner_->uses_size();
 }
 
 void CircuitBreakerDispatcher::reset() {
   breakers_.assign(breakers_.size(), Breaker{});
-  routable_.assign(routable_.size(), true);
-  outer_mask_.assign(outer_mask_.size(), true);
   next_reopen_time_ = kNoReopen;
   last_now_ = 0.0;
   trips_ = 0;
-  rebuilds_ = 0;
-  if (native_mask_) {
-    inner_->reset();
-    inner_->set_available_mask(routable_);
-    return;
-  }
-  if (reweighter_) {
-    // In-place restore: full-availability fractions into the existing
-    // inner dispatcher (rebuild_fractions resets its routing state).
-    reweighter_(routable_, fractions_scratch_);
-    inner_->reset();
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      return;
-    }
-  }
-  inner_ = rebuilder_(routable_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
+  mask_.reset();
 }
 
 std::string CircuitBreakerDispatcher::name() const {
-  return "circuit-breaker(" + inner_->name() + ")";
-}
-
-size_t CircuitBreakerDispatcher::machine_count() const {
-  return breakers_.size();
+  return "circuit-breaker(" + inner().name() + ")";
 }
 
 void CircuitBreakerDispatcher::on_arrival(double now) {
@@ -120,7 +65,7 @@ void CircuitBreakerDispatcher::on_arrival(double now) {
   if (now >= next_reopen_time_) {
     maybe_half_open(now);
   }
-  inner_->on_arrival(now);
+  inner().on_arrival(now);
 }
 
 void CircuitBreakerDispatcher::maybe_half_open(double now) {
@@ -139,31 +84,8 @@ void CircuitBreakerDispatcher::maybe_half_open(double now) {
     }
   }
   if (changed) {
-    apply_mask();
+    mask_.apply();
   }
-}
-
-void CircuitBreakerDispatcher::on_departure_report(size_t machine) {
-  inner_->on_departure_report(machine);
-}
-
-void CircuitBreakerDispatcher::on_departure_report(size_t machine,
-                                                   double now) {
-  inner_->on_departure_report(machine, now);
-}
-
-void CircuitBreakerDispatcher::on_departure_report(size_t machine, double now,
-                                                   double work) {
-  inner_->on_departure_report(machine, now, work);
-}
-
-void CircuitBreakerDispatcher::on_load_report(size_t machine,
-                                              uint64_t queue_length) {
-  inner_->on_load_report(machine, queue_length);
-}
-
-bool CircuitBreakerDispatcher::uses_feedback() const {
-  return inner_->uses_feedback();
 }
 
 void CircuitBreakerDispatcher::on_dispatch_result(size_t machine,
@@ -177,7 +99,7 @@ void CircuitBreakerDispatcher::on_dispatch_result(size_t machine,
     if (b.state == BreakerState::kHalfOpen) {
       if (++b.probe_successes >= config_.probe_successes) {
         transition(machine, BreakerState::kClosed, now);
-        apply_mask();
+        mask_.apply();
       }
     }
     return;
@@ -204,7 +126,7 @@ void CircuitBreakerDispatcher::on_machine_state_report(size_t machine,
   // still want crash reports); an explicit crash report also trips the
   // breaker instantly — no need to burn trip_threshold probe jobs on a
   // machine known to be down.
-  inner_->on_machine_state_report(machine, up);
+  inner().on_machine_state_report(machine, up);
   HS_CHECK(machine < breakers_.size(),
            "machine index out of range: " << machine);
   if (!up && breakers_[machine].state == BreakerState::kClosed) {
@@ -220,14 +142,14 @@ void CircuitBreakerDispatcher::on_machine_state_report(size_t machine,
     // identical whichever side of a FaultAwareDispatcher this decorator
     // sits on.
     transition(machine, BreakerState::kHalfOpen, last_now_);
-    apply_mask();
+    mask_.apply();
   }
 }
 
 void CircuitBreakerDispatcher::trip(size_t machine, double now) {
   transition(machine, BreakerState::kOpen, now);
   ++trips_;
-  apply_mask();
+  mask_.apply();
 }
 
 void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
@@ -239,7 +161,7 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
   switch (to) {
     case BreakerState::kOpen:
       b.reopen_at = now + config_.cooldown;
-      routable_[machine] = false;
+      mask_.set_own(machine, false);
       next_reopen_time_ = std::min(next_reopen_time_, b.reopen_at);
       if (trace_ != nullptr) [[unlikely]] {
         trace_->record(now, obs::TraceEventKind::kBreakerOpen,
@@ -248,7 +170,7 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
       }
       break;
     case BreakerState::kHalfOpen:
-      routable_[machine] = true;
+      mask_.set_own(machine, true);
       if (trace_ != nullptr) [[unlikely]] {
         trace_->record(now, obs::TraceEventKind::kBreakerHalfOpen,
                        obs::TraceSink::kNoJob,
@@ -256,7 +178,7 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
       }
       break;
     case BreakerState::kClosed:
-      routable_[machine] = true;
+      mask_.set_own(machine, true);
       if (trace_ != nullptr) [[unlikely]] {
         trace_->record(now, obs::TraceEventKind::kBreakerClose,
                        obs::TraceSink::kNoJob,
@@ -268,45 +190,8 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
 
 bool CircuitBreakerDispatcher::set_available_mask(
     const std::vector<bool>& available) {
-  HS_CHECK(available.size() == routable_.size(),
-           "availability mask size " << available.size()
-                                     << " != machine count "
-                                     << routable_.size());
-  outer_mask_ = available;
-  apply_mask();
+  mask_.set_outer(available);
   return true;
-}
-
-void CircuitBreakerDispatcher::apply_mask() {
-  effective_.assign(routable_.size(), false);
-  size_t usable = 0;
-  for (size_t i = 0; i < routable_.size(); ++i) {
-    effective_[i] = routable_[i] && outer_mask_[i];
-    usable += effective_[i] ? 1 : 0;
-  }
-  if (native_mask_) {
-    inner_->set_available_mask(effective_);
-    return;
-  }
-  if (usable == 0) {
-    // Every breaker is open (or masked from above): nothing useful to
-    // rebuild over. Keep the previous routing — jobs fail fast and their
-    // outcomes drive the half-open probes (mirrors
-    // FaultAwareDispatcher's all-down case).
-    return;
-  }
-  if (reweighter_) {
-    // Allocation-free path: survivor fractions into the scratch buffer,
-    // then re-weight the live inner dispatcher in place.
-    reweighter_(effective_, fractions_scratch_);
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      ++rebuilds_;
-      return;
-    }
-  }
-  inner_ = rebuilder_(effective_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
-  ++rebuilds_;
 }
 
 BreakerState CircuitBreakerDispatcher::state(size_t machine) const {
@@ -333,7 +218,7 @@ size_t CircuitBreakerDispatcher::save_state(std::vector<double>& out) const {
   }
   out.push_back(next_reopen_time_);
   out.push_back(last_now_);
-  return 4 * n + 2 + inner_->save_state(out);
+  return 4 * n + 2 + inner().save_state(out);
 }
 
 size_t CircuitBreakerDispatcher::restore_state(std::span<const double> state) {
@@ -359,6 +244,14 @@ size_t CircuitBreakerDispatcher::restore_state(std::span<const double> state) {
   if (std::isnan(state[4 * n]) || !std::isfinite(state[4 * n + 1])) {
     return 0;
   }
+  std::vector<bool> routable(n);
+  for (size_t i = 0; i < n; ++i) {
+    routable[i] = state[4 * i] != static_cast<double>(BreakerState::kOpen);
+  }
+  const auto inner_consumed = mask_.restore(routable, state.subspan(own));
+  if (!inner_consumed) {
+    return 0;
+  }
   for (size_t i = 0; i < n; ++i) {
     Breaker& b = breakers_[i];
     b.state = static_cast<BreakerState>(
@@ -366,15 +259,10 @@ size_t CircuitBreakerDispatcher::restore_state(std::span<const double> state) {
     b.consecutive_failures = static_cast<size_t>(state[4 * i + 1]);
     b.probe_successes = static_cast<size_t>(state[4 * i + 2]);
     b.reopen_at = state[4 * i + 3];
-    routable_[i] = b.state != BreakerState::kOpen;
   }
   next_reopen_time_ = state[4 * n];
   last_now_ = state[4 * n + 1];
-  // Re-derive the routing mask (rebuild mode may swap the inner
-  // dispatcher here) *before* restoring inner state, so the restored
-  // state lands in the dispatcher that will serve the next pick.
-  apply_mask();
-  return own + inner_->restore_state(state.subspan(own));
+  return own + *inner_consumed;
 }
 
 }  // namespace hs::overload

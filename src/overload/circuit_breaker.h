@@ -5,9 +5,9 @@
 // infers machine health from dispatch *outcomes*. A machine that keeps
 // rejecting (bounded queue full) or losing (crashed but not yet
 // reported) jobs trips its breaker Open after `trip_threshold`
-// consecutive failures and is routed around, using the same two
-// composition modes as the fault decorator — native masking for
-// Least-Load-style dispatchers, survivor-reallocation Rebuilder for the
+// consecutive failures and is routed around through the same
+// dispatch::SurvivorMask as the fault decorator — native masking for
+// Least-Load-style dispatchers, in-place survivor reweighting for the
 // static paper policies. After `cooldown` simulated seconds an Open
 // breaker Half-Opens: the machine rejoins the routing set, and
 // `probe_successes` consecutive accepted jobs close the breaker while a
@@ -23,16 +23,16 @@
 // When every breaker is open the decorator keeps the previous routing —
 // jobs fail fast and feed the half-open probes (mirrors the fault
 // decorator's all-down behavior). core::make_circuit_breaker_dispatcher
-// wires the rebuilder for the paper's policies; docs/FAULT_MODEL.md §6
+// wires the reweighter for the paper's policies; docs/FAULT_MODEL.md §6
 // discusses the semantics.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "dispatch/dispatcher.h"
+#include "dispatch/decorator.h"
+#include "dispatch/survivor_mask.h"
 #include "obs/trace.h"
 
 namespace hs::overload {
@@ -53,69 +53,52 @@ enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
 
 [[nodiscard]] const char* breaker_state_name(BreakerState state);
 
-class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
+class CircuitBreakerDispatcher final : public dispatch::DecoratorDispatcher {
  public:
-  /// Builds a fresh dispatcher routing only to machines with
-  /// available[i] == true (same contract as FaultAwareDispatcher's
-  /// Rebuilder; with every breaker open it is not called).
-  using Rebuilder = std::function<std::unique_ptr<dispatch::Dispatcher>(
-      const std::vector<bool>&)>;
-
-  /// Computes survivor allocation fractions into its output buffer (same
-  /// contract as FaultAwareDispatcher::Reweighter): when supplied, trips
-  /// and closes re-weight the existing inner dispatcher in place via
-  /// Dispatcher::rebuild_fractions() — allocation-free — with the
-  /// Rebuilder as fallback.
-  using Reweighter =
-      std::function<void(const std::vector<bool>&, std::vector<double>&)>;
+  using Reweighter = dispatch::SurvivorMask::Reweighter;
 
   /// Native-masking mode: `inner` must accept set_available_mask.
   CircuitBreakerDispatcher(std::unique_ptr<dispatch::Dispatcher> inner,
                            const CircuitBreakerConfig& config);
 
-  /// Rebuild mode: `rebuilder` produces replacements as breakers trip
-  /// and close. The optional `reweighter` upgrades those transitions to
-  /// in-place, allocation-free reweights of the existing inner.
+  /// Reweighting mode for a fraction-driven `inner` (same contract as
+  /// FaultAwareDispatcher's): trips and closes re-weight it in place
+  /// with the fractions `reweighter` computes over the closed breakers.
   CircuitBreakerDispatcher(std::unique_ptr<dispatch::Dispatcher> inner,
                            const CircuitBreakerConfig& config,
-                           Rebuilder rebuilder, Reweighter reweighter = {});
+                           Reweighter reweighter);
 
-  [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
-  [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
-                                  double size) override;
-  [[nodiscard]] size_t pick_hedge(rng::Xoshiro256& gen, double size,
-                                  size_t exclude) override;
-  [[nodiscard]] bool uses_size() const override;
+  [[nodiscard]] dispatch::Capabilities capabilities() const override {
+    return inner().capabilities() | dispatch::kOverloadFeedback;
+  }
   void reset() override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] size_t machine_count() const override;
 
+  /// Cooldown expiry is checked on arrivals.
   void on_arrival(double now) override;
-  void on_departure_report(size_t machine) override;
-  void on_departure_report(size_t machine, double now) override;
-  void on_departure_report(size_t machine, double now, double work) override;
-  void on_load_report(size_t machine, uint64_t queue_length) override;
-  [[nodiscard]] bool uses_feedback() const override;
 
+  /// Consumes dispatch outcomes (not forwarded inward).
   void on_dispatch_result(size_t machine, bool accepted, double now) override;
-  [[nodiscard]] bool uses_overload_feedback() const override { return true; }
 
   /// Also treat fault-layer crash reports as instant trips (a crashed
   /// machine should not wait for trip_threshold rejected probes), and
   /// recovery reports as instant Half-Opens (skip the remaining
-  /// cooldown; the probe jobs confirm the recovery).
+  /// cooldown; the probe jobs confirm the recovery). The report is
+  /// forwarded inward first.
   void on_machine_state_report(size_t machine, bool up) override;
-  [[nodiscard]] bool uses_fault_feedback() const override {
-    return inner_->uses_fault_feedback();
-  }
 
   /// Native masking on behalf of an *outer* decorator (a fault layer or
   /// hedging wrapper stacked on top): the outer mask is ANDed with the
   /// breaker's own routable set before being pushed down, so
   /// Hedged/FaultAware/CircuitBreaker compose in any order. Always
-  /// returns true — the decorator absorbs the mask even when the inner
-  /// dispatcher needs the rebuilder.
+  /// returns true.
   bool set_available_mask(const std::vector<bool>& available) override;
+
+  /// Declined: in-place fractions from above would bypass open breakers.
+  bool rebuild_fractions(std::span<const double> fractions) override {
+    (void)fractions;
+    return false;
+  }
 
   /// Attach a trace sink for kBreakerOpen/kBreakerHalfOpen/kBreakerClose
   /// records (null detaches).
@@ -123,7 +106,8 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
 
   /// Checkpoint: per-machine breaker records (state, failure/probe
   /// counters, reopen deadline) plus the reopen schedule, then the inner
-  /// dispatcher's state — a stack serializes outside-in.
+  /// dispatcher's state — a stack serializes outside-in. A declined
+  /// restore leaves the breakers and the inner dispatcher as they were.
   size_t save_state(std::vector<double>& out) const override;
   size_t restore_state(std::span<const double> state) override;
 
@@ -131,11 +115,8 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
   [[nodiscard]] size_t open_count() const;
   /// Breaker trips (Closed/Half-Open → Open) since construction/reset.
   [[nodiscard]] uint64_t trips() const { return trips_; }
-  [[nodiscard]] uint64_t rebuilds() const { return rebuilds_; }
-  [[nodiscard]] const dispatch::Dispatcher& inner() const { return *inner_; }
-  /// Mutable access for decorator-aware wiring; stable only in native-
-  /// masking mode (rebuild mode replaces the inner dispatcher).
-  [[nodiscard]] dispatch::Dispatcher& inner() { return *inner_; }
+  /// Survivor reweights since construction/reset (reweighting mode).
+  [[nodiscard]] uint64_t rebuilds() const { return mask_.rebuilds(); }
 
  private:
   struct Breaker {
@@ -145,29 +126,19 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
     double reopen_at = 0.0;  // when an Open breaker may Half-Open
   };
 
-  void init(std::unique_ptr<dispatch::Dispatcher> inner);
   void trip(size_t machine, double now);
   void transition(size_t machine, BreakerState to, double now);
-  void apply_mask();
   void maybe_half_open(double now);
 
-  std::unique_ptr<dispatch::Dispatcher> inner_;
   CircuitBreakerConfig config_;
-  Rebuilder rebuilder_;
-  Reweighter reweighter_;
   std::vector<Breaker> breakers_;
-  std::vector<bool> routable_;    // state != kOpen
-  std::vector<bool> outer_mask_;  // restriction imposed from above
-  std::vector<bool> effective_;   // scratch: routable_ AND outer_mask_
-  std::vector<double> fractions_scratch_;  // reweighter output buffer
+  dispatch::SurvivorMask mask_;  // own set: state != kOpen
   obs::TraceSink* trace_ = nullptr;
   // Earliest reopen_at over Open breakers (+inf when none are open):
   // lets on_arrival() skip the scan in the common all-closed case.
   double next_reopen_time_ = 0.0;
   double last_now_ = 0.0;  // most recent time seen through any hook
-  bool native_mask_ = false;
   uint64_t trips_ = 0;
-  uint64_t rebuilds_ = 0;
 };
 
 }  // namespace hs::overload

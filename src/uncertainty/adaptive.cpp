@@ -228,15 +228,6 @@ size_t GovernedAdaptiveDispatcher::pick(rng::Xoshiro256& gen) {
   return machine;
 }
 
-void GovernedAdaptiveDispatcher::on_departure_report(size_t machine) {
-  on_departure_report(machine, last_now_);
-}
-
-void GovernedAdaptiveDispatcher::on_departure_report(size_t machine,
-                                                     double now) {
-  on_departure_report(machine, now, options_.mean_job_size);
-}
-
 void GovernedAdaptiveDispatcher::on_departure_report(size_t machine,
                                                      double now,
                                                      double work) {

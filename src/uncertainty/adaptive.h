@@ -88,21 +88,18 @@ class GovernedAdaptiveDispatcher final : public dispatch::Dispatcher {
     return believed_speeds_.size();
   }
 
-  /// Departure reports feed the per-machine service-rate estimators.
-  /// The sized form is the real input (completed work is what makes the
-  /// speed estimate tail-robust); the unsized fallbacks substitute the
-  /// configured mean job size, and the untimed one additionally uses the
-  /// last arrival instant.
-  void on_departure_report(size_t machine) override;
-  void on_departure_report(size_t machine, double now) override;
+  /// Departure reports feed the per-machine service-rate estimators;
+  /// the completed work is what makes the speed estimate tail-robust.
   void on_departure_report(size_t machine, double now, double work) override;
-  [[nodiscard]] bool uses_feedback() const override { return true; }
 
   /// Rejected dispatches never entered service: undo their busy-time
   /// contribution so bounded queues don't depress the speed estimates.
   void on_dispatch_result(size_t machine, bool accepted,
                           double now) override;
-  [[nodiscard]] bool uses_overload_feedback() const override { return true; }
+
+  [[nodiscard]] dispatch::Capabilities capabilities() const override {
+    return dispatch::kDepartureFeedback | dispatch::kOverloadFeedback;
+  }
 
   /// Native fault-layer blacklist: rebuild over survivors immediately
   /// from the current estimates (bypasses the governor — availability

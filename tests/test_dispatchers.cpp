@@ -256,9 +256,9 @@ TEST(DispatcherInterface, NamesAndFeedbackFlags) {
   EXPECT_EQ(rr.name(), "round-robin");
   EXPECT_EQ(random_d.name(), "random");
   EXPECT_EQ(cyclic.name(), "cyclic");
-  EXPECT_FALSE(rr.uses_feedback());
-  EXPECT_FALSE(random_d.uses_feedback());
-  EXPECT_FALSE(cyclic.uses_feedback());
+  EXPECT_FALSE(rr.has(hs::dispatch::kDepartureFeedback));
+  EXPECT_FALSE(random_d.has(hs::dispatch::kDepartureFeedback));
+  EXPECT_FALSE(cyclic.has(hs::dispatch::kDepartureFeedback));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "cluster/sim.h"
 #include "core/adaptive.h"
 #include "core/policy.h"
+#include "dispatch/decorator.h"
 #include "dispatch/fault_aware.h"
 #include "util/check.h"
 
@@ -223,46 +224,33 @@ TEST(FaultSim, RetriedJobsCompleteWithFullLatency) {
 
 // Counts dispatches per machine with their times, wrapping any inner
 // dispatcher transparently.
-class CountingDispatcher final : public hs::dispatch::Dispatcher {
+class CountingDispatcher final : public hs::dispatch::DecoratorDispatcher {
  public:
   CountingDispatcher(std::unique_ptr<hs::dispatch::Dispatcher> inner,
                      std::vector<std::pair<double, size_t>>& record)
-      : inner_(std::move(inner)), record_(record) {}
+      : DecoratorDispatcher(std::move(inner)), record_(record) {}
 
   size_t pick(hs::rng::Xoshiro256& gen) override {
-    const size_t machine = inner_->pick(gen);
+    const size_t machine = inner().pick(gen);
     record_.emplace_back(now_, machine);
     return machine;
   }
   size_t pick_sized(hs::rng::Xoshiro256& gen, double size) override {
-    const size_t machine = inner_->pick_sized(gen, size);
+    const size_t machine = inner().pick_sized(gen, size);
     record_.emplace_back(now_, machine);
     return machine;
   }
-  bool uses_size() const override { return inner_->uses_size(); }
   void reset() override {
-    inner_->reset();
+    inner().reset();
     now_ = 0.0;
   }
-  std::string name() const override { return inner_->name(); }
-  size_t machine_count() const override { return inner_->machine_count(); }
+  std::string name() const override { return inner().name(); }
   void on_arrival(double now) override {
     now_ = now;
-    inner_->on_arrival(now);
-  }
-  void on_departure_report(size_t machine) override {
-    inner_->on_departure_report(machine);
-  }
-  bool uses_feedback() const override { return inner_->uses_feedback(); }
-  void on_machine_state_report(size_t machine, bool up) override {
-    inner_->on_machine_state_report(machine, up);
-  }
-  bool uses_fault_feedback() const override {
-    return inner_->uses_fault_feedback();
+    inner().on_arrival(now);
   }
 
  private:
-  std::unique_ptr<hs::dispatch::Dispatcher> inner_;
   std::vector<std::pair<double, size_t>>& record_;
   double now_ = 0.0;
 };

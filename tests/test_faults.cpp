@@ -238,7 +238,7 @@ TEST(FaultAware, RebuildModeBlacklistsAndRestores) {
       hs::core::make_fault_aware_dispatcher(PolicyKind::kORR, speeds, 0.6);
   auto* aware = dynamic_cast<FaultAwareDispatcher*>(dispatcher.get());
   ASSERT_NE(aware, nullptr);
-  EXPECT_TRUE(aware->uses_fault_feedback());
+  EXPECT_TRUE(aware->has(hs::dispatch::kFaultFeedback));
   EXPECT_EQ(aware->machine_count(), 3u);
 
   hs::rng::Xoshiro256 gen(3);
@@ -306,7 +306,7 @@ TEST(FaultAware, NativeMaskModeForLeastLoad) {
       PolicyKind::kLeastLoad, speeds, 0.5);
   auto* aware = dynamic_cast<FaultAwareDispatcher*>(dispatcher.get());
   ASSERT_NE(aware, nullptr);
-  EXPECT_TRUE(aware->uses_feedback());
+  EXPECT_TRUE(aware->has(hs::dispatch::kDepartureFeedback));
   hs::rng::Xoshiro256 gen(6);
   aware->on_machine_state_report(1, false);
   EXPECT_EQ(aware->rebuilds(), 0u);  // masked natively, no rebuild
@@ -342,7 +342,7 @@ TEST(LeastLoadMask, CrashZeroesEstimatesAndBlacklists) {
     EXPECT_EQ(d.pick(gen), 0u);
   }
   // A departure report for a pre-crash job arrives late: ignored.
-  EXPECT_NO_THROW(d.on_departure_report(1));
+  EXPECT_NO_THROW(d.on_departure_report(1, 0.0, 1.0));
   EXPECT_EQ(d.estimated_queue(1), 0u);
   d.set_available_mask({true, true});
   EXPECT_EQ(d.pick(gen), 1u);  // recovered machine is empty → preferred

@@ -43,7 +43,7 @@ TEST(LeastLoad, NormalizedLoadDrivesChoice) {
 TEST(LeastLoad, DepartureReportFreesCapacity) {
   LeastLoadDispatcher d({1.0, 1.0});
   EXPECT_EQ(d.pick(gen), 0u);
-  d.on_departure_report(0);
+  d.on_departure_report(0, 0.0, 1.0);
   EXPECT_EQ(d.estimated_queue(0), 0u);
   EXPECT_EQ(d.pick(gen), 0u);  // back to the tie-first choice
 }
@@ -53,7 +53,7 @@ TEST(LeastLoad, StaleReportIgnored) {
   // for jobs that completed just before the crash may still be in
   // flight; such stale reports are dropped rather than rejected.
   LeastLoadDispatcher d({1.0});
-  EXPECT_NO_THROW((void)(d.on_departure_report(0)));
+  EXPECT_NO_THROW((void)(d.on_departure_report(0, 0.0, 1.0)));
   EXPECT_EQ(d.estimated_queue(0), 0u);
 }
 
@@ -68,14 +68,15 @@ TEST(LeastLoad, ResetClearsEstimates) {
 
 TEST(LeastLoad, UsesFeedback) {
   LeastLoadDispatcher d({1.0});
-  EXPECT_TRUE(d.uses_feedback());
+  EXPECT_TRUE(d.has(hs::dispatch::kDepartureFeedback));
   EXPECT_EQ(d.name(), "least-load");
   EXPECT_EQ(d.machine_count(), 1u);
 }
 
 TEST(LeastLoad, OutOfRangeReportThrows) {
   LeastLoadDispatcher d({1.0});
-  EXPECT_THROW((void)(d.on_departure_report(5)), hs::util::CheckError);
+  EXPECT_THROW((void)(d.on_departure_report(5, 0.0, 1.0)),
+               hs::util::CheckError);
   EXPECT_THROW((void)(d.estimated_queue(5)), hs::util::CheckError);
 }
 
@@ -104,7 +105,7 @@ TEST(LeastLoad, SteadyStateSharesFavorFastMachines) {
       const size_t machine =
           local_gen.next_double() * (w0 + w1) < w0 ? 0 : 1;
       if (d.estimated_queue(machine) > 0) {
-        d.on_departure_report(machine);
+        d.on_departure_report(machine, 0.0, 1.0);
       }
     }
   }
@@ -139,8 +140,8 @@ class EngineHarness {
     ASSERT_EQ(from_tree, from_scan) << "exclude " << exclude;
   }
   void departure(size_t machine) {
-    tree_.on_departure_report(machine);
-    scan_.on_departure_report(machine);
+    tree_.on_departure_report(machine, 0.0, 1.0);
+    scan_.on_departure_report(machine, 0.0, 1.0);
   }
   void load_report(size_t machine, uint64_t queue) {
     tree_.on_load_report(machine, queue);

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -291,8 +292,11 @@ TEST(Admission, FactoryBuildsConfiguredPolicy) {
 /// covered with one stub.
 class StubDispatcher final : public hs::dispatch::Dispatcher {
  public:
-  StubDispatcher(size_t machines, bool supports_mask)
-      : allowed_(machines, true), supports_mask_(supports_mask) {}
+  StubDispatcher(size_t machines, bool supports_mask,
+                 bool supports_reweight = false)
+      : allowed_(machines, true),
+        supports_mask_(supports_mask),
+        supports_reweight_(supports_reweight) {}
 
   size_t pick(hs::rng::Xoshiro256& gen) override {
     (void)gen;
@@ -315,12 +319,36 @@ class StubDispatcher final : public hs::dispatch::Dispatcher {
     allowed_ = available;
     return true;
   }
+  bool rebuild_fractions(std::span<const double> fractions) override {
+    if (!supports_reweight_) {
+      return false;
+    }
+    for (size_t i = 0; i < allowed_.size(); ++i) {
+      allowed_[i] = fractions[i] > 0.0;
+    }
+    cursor_ = 0;
+    return true;
+  }
 
  private:
   std::vector<bool> allowed_;
   size_t cursor_ = 0;
   bool supports_mask_;
+  bool supports_reweight_;
 };
+
+/// Equal split over the available machines; records every mask it saw.
+CircuitBreakerDispatcher::Reweighter equal_split_reweighter(
+    std::vector<std::vector<bool>>& masks_seen) {
+  return [&masks_seen](const std::vector<bool>& available,
+                       std::vector<double>& fractions) {
+    masks_seen.push_back(available);
+    fractions.assign(available.size(), 0.0);
+    for (size_t i = 0; i < available.size(); ++i) {
+      fractions[i] = available[i] ? 1.0 : 0.0;
+    }
+  };
+}
 
 CircuitBreakerConfig quick_breaker() {
   CircuitBreakerConfig config;
@@ -346,13 +374,22 @@ TEST(CircuitBreakerConfig, Validation) {
             std::string::npos);
 }
 
-TEST(CircuitBreaker, RequiresMaskOrRebuilder) {
+TEST(CircuitBreaker, RequiresMaskOrReweighter) {
+  std::vector<std::vector<bool>> masks_seen;
   EXPECT_THROW(CircuitBreakerDispatcher(
                    std::make_unique<StubDispatcher>(2, false),
                    quick_breaker()),
                CheckError);
+  // A reweighter is no help when the inner dispatcher cannot reweight.
+  EXPECT_THROW(CircuitBreakerDispatcher(
+                   std::make_unique<StubDispatcher>(2, false),
+                   quick_breaker(), equal_split_reweighter(masks_seen)),
+               CheckError);
   EXPECT_NO_THROW(CircuitBreakerDispatcher(
       std::make_unique<StubDispatcher>(2, true), quick_breaker()));
+  EXPECT_NO_THROW(CircuitBreakerDispatcher(
+      std::make_unique<StubDispatcher>(2, false, true), quick_breaker(),
+      equal_split_reweighter(masks_seen)));
 }
 
 TEST(CircuitBreaker, TripsAfterConsecutiveFailures) {
@@ -428,44 +465,45 @@ TEST(CircuitBreaker, CrashReportTripsInstantly) {
   EXPECT_EQ(breaker.state(1), BreakerState::kHalfOpen);
 }
 
-TEST(CircuitBreaker, RebuilderModeReallocatesOverSurvivors) {
+TEST(CircuitBreaker, ReweighterModeReallocatesOverSurvivors) {
   std::vector<std::vector<bool>> masks_seen;
-  auto rebuilder = [&masks_seen](const std::vector<bool>& available) {
-    masks_seen.push_back(available);
-    return std::make_unique<StubDispatcher>(available.size(), false);
-  };
-  CircuitBreakerDispatcher breaker(std::make_unique<StubDispatcher>(3, false),
-                                   quick_breaker(), rebuilder);
+  CircuitBreakerDispatcher breaker(
+      std::make_unique<StubDispatcher>(3, false, true), quick_breaker(),
+      equal_split_reweighter(masks_seen));
+  masks_seen.clear();  // drop the construction-time full-set reweight
   for (int i = 0; i < 3; ++i) {
     breaker.on_dispatch_result(2, false, 1.0);
   }
   EXPECT_EQ(breaker.rebuilds(), 1u);
   ASSERT_EQ(masks_seen.size(), 1u);
   EXPECT_EQ(masks_seen[0], (std::vector<bool>{true, true, false}));
-  // Half-open rejoins the routing set: another rebuild with all three.
+  hs::rng::Xoshiro256 gen(5);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_NE(breaker.pick(gen), 2u);
+  }
+  // Half-open rejoins the routing set: another reweight with all three.
   breaker.on_arrival(12.0);
   EXPECT_EQ(breaker.rebuilds(), 2u);
+  ASSERT_EQ(masks_seen.size(), 2u);
   EXPECT_EQ(masks_seen[1], (std::vector<bool>{true, true, true}));
 }
 
 TEST(CircuitBreaker, AllOpenKeepsPreviousRouting) {
-  size_t rebuild_calls = 0;
-  auto rebuilder = [&rebuild_calls](const std::vector<bool>& available) {
-    ++rebuild_calls;
-    return std::make_unique<StubDispatcher>(available.size(), false);
-  };
-  CircuitBreakerDispatcher breaker(std::make_unique<StubDispatcher>(2, false),
-                                   quick_breaker(), rebuilder);
+  std::vector<std::vector<bool>> masks_seen;
+  CircuitBreakerDispatcher breaker(
+      std::make_unique<StubDispatcher>(2, false, true), quick_breaker(),
+      equal_split_reweighter(masks_seen));
+  masks_seen.clear();
   for (int i = 0; i < 3; ++i) {
     breaker.on_dispatch_result(0, false, 1.0);
   }
-  EXPECT_EQ(rebuild_calls, 1u);
+  EXPECT_EQ(masks_seen.size(), 1u);
   for (int i = 0; i < 3; ++i) {
     breaker.on_dispatch_result(1, false, 2.0);
   }
-  // Both open: no rebuild over an empty survivor set — the previous
+  // Both open: no reweight over an empty survivor set — the previous
   // routing stays so jobs fail fast and feed the half-open probes.
-  EXPECT_EQ(rebuild_calls, 1u);
+  EXPECT_EQ(masks_seen.size(), 1u);
   EXPECT_EQ(breaker.open_count(), 2u);
   hs::rng::Xoshiro256 gen(5);
   EXPECT_LT(breaker.pick(gen), 2u);  // still routable, fails fast

@@ -68,8 +68,8 @@ TEST(Policy, DispatcherKindsMatch) {
   EXPECT_EQ(wrr->name(), "round-robin");
   EXPECT_EQ(orr->name(), "round-robin");
   EXPECT_EQ(ll->name(), "least-load");
-  EXPECT_TRUE(ll->uses_feedback());
-  EXPECT_FALSE(orr->uses_feedback());
+  EXPECT_TRUE(ll->has(hs::dispatch::kDepartureFeedback));
+  EXPECT_FALSE(orr->has(hs::dispatch::kDepartureFeedback));
   EXPECT_EQ(orr->machine_count(), kSpeeds.size());
 }
 

@@ -65,25 +65,27 @@ std::string temp_path(const std::string& name) {
   return testing::TempDir() + "hs_chaos_" + name;
 }
 
-/// FaultAware (rebuild mode) over equal-fraction random dispatch: the
+/// FaultAware (reweighting mode) over equal-fraction random dispatch: the
 /// policy keeps sending traffic to a dead backend until a health
 /// transition masks it out — exactly the stack that needs detection.
 std::unique_ptr<hs::dispatch::Dispatcher> make_fault_aware_random() {
-  auto rebuilder = [](const std::vector<bool>& available) {
+  auto equal_split = [](const std::vector<bool>& available,
+                        std::vector<double>& fractions) {
     size_t up = 0;
     for (const bool a : available) {
       up += a ? 1 : 0;
     }
-    std::vector<double> fractions(available.size(), 0.0);
+    fractions.assign(available.size(), 0.0);
     for (size_t i = 0; i < available.size(); ++i) {
       fractions[i] = available[i] ? 1.0 / static_cast<double>(up) : 0.0;
     }
-    return std::make_unique<hs::dispatch::RandomDispatcher>(
-        hs::alloc::Allocation(std::move(fractions)));
   };
-  std::vector<bool> all_up(kSpeeds.size(), true);
+  std::vector<double> fractions;
+  equal_split(std::vector<bool>(kSpeeds.size(), true), fractions);
   return std::make_unique<hs::dispatch::FaultAwareDispatcher>(
-      rebuilder(all_up), rebuilder);
+      std::make_unique<hs::dispatch::RandomDispatcher>(
+          hs::alloc::Allocation(std::move(fractions))),
+      equal_split);
 }
 
 // ---- Detection ----------------------------------------------------------

@@ -150,7 +150,7 @@ TEST(Sita, SizeBlindPickThrows) {
   SitaDispatcher sita({1.0, 2.0}, kPaperSizes);
   hs::rng::Xoshiro256 gen(1);
   EXPECT_THROW((void)sita.pick(gen), hs::util::CheckError);
-  EXPECT_TRUE(sita.uses_size());
+  EXPECT_TRUE(sita.has(hs::dispatch::kSizeAware));
 }
 
 TEST(Sita, EndToEndEqualizesUtilization) {

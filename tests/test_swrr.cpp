@@ -95,7 +95,7 @@ TEST(Swrr, NameAndInterface) {
   SwrrDispatcher d{Allocation({1.0})};
   EXPECT_EQ(d.name(), "swrr");
   EXPECT_EQ(d.machine_count(), 1u);
-  EXPECT_FALSE(d.uses_feedback());
+  EXPECT_FALSE(d.has(hs::dispatch::kDepartureFeedback));
 }
 
 }  // namespace

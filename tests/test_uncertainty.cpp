@@ -501,7 +501,7 @@ TEST(GovernedAdaptive, ZeroFractionReSolveKeepsDispatching) {
     dispatcher.on_arrival(t);
     const size_t machine = dispatcher.pick(gen);
     ASSERT_LT(machine, speeds.size());
-    dispatcher.on_departure_report(machine, t + 0.02);
+    dispatcher.on_departure_report(machine, t + 0.02, options.mean_job_size);
   }
   ASSERT_GE(dispatcher.governor().commits(), 1u);
   EXPECT_EQ(dispatcher.allocation()[1], 0.0);
