@@ -5,12 +5,18 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 
+#include "cluster/choice.h"
 #include "cluster/sim.h"
 #include "core/policy.h"
+#include "dispatch/hedged.h"
+#include "explore/hook.h"
+#include "explore/schedule.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/trace.h"
+#include "overload/circuit_breaker.h"
 #include "queueing/ps_server.h"
 #include "rng/rng.h"
 #include "sim/event_queue.h"
@@ -202,5 +208,79 @@ void BM_FullClusterSimulationTraced(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FullClusterSimulationTraced)->Unit(benchmark::kMillisecond);
+
+// The robust stack the perfbench fault-drill workload runs —
+// breaker(hedged(fault-aware(ORR))) with crash/recovery and retries,
+// bounded queues with admission, lossy delayed links, heartbeats and a
+// trace sink — on the asynchronous dispatch path. Arg 1 adds a
+// ScheduleHook (~14 consults per job) whose overrides target every
+// machine's dispatch-loss draw at an occurrence the run never reaches:
+// those consults all probe the override table, yet the trajectory is
+// the hook-off one, so /1 over /0 is the hook's own cost
+// (scripts/check_hook_overhead.py gates it).
+void BM_FullClusterSimulationRobust(benchmark::State& state) {
+  hs::cluster::SimulationConfig config = cluster_bench_config();
+  const size_t machines = config.speeds.size();
+  config.faults.processes.assign(machines, {2.0e5, 300.0});
+  config.faults.retry.max_attempts = 3;
+  config.faults.retry.backoff_initial = 5.0;
+  config.overload.queue_capacity = 25;
+  config.overload.admission = hs::overload::AdmissionKind::kQueueBoundShed;
+  config.overload.admission_queue_bound = 24;
+  config.network.dispatch_link.loss = 0.005;
+  config.network.dispatch_link.duplicate = 0.005;
+  config.network.dispatch_link.delay_mean = 0.01;
+  config.network.report_link.loss = 0.005;
+  config.network.heartbeat.interval = 10.0;
+  hs::dispatch::HedgingConfig hedging;
+  hedging.delay = 5000.0;
+  hs::overload::CircuitBreakerConfig breaker;
+  breaker.trip_threshold = 3;
+  breaker.cooldown = 10.0;
+  breaker.probe_successes = 2;
+  hs::explore::Schedule unreachable;
+  for (size_t m = 0; m < machines; ++m) {
+    unreachable.ops.push_back(hs::explore::Override::force_bool(
+        hs::cluster::ChoiceKind::kDispatchLoss, static_cast<uint32_t>(m),
+        (1u << 24) - 1, true));
+  }
+  const bool hooked = state.range(0) != 0;
+  hs::obs::TraceSink sink(1u << 16);
+  hs::obs::Observer observer;
+  observer.trace = &sink;
+  config.observer = &observer;
+  uint64_t jobs = 0;
+  uint64_t events = 0;
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    config.seed = ++seed;
+    sink.clear();
+    auto dispatcher = std::make_unique<hs::overload::CircuitBreakerDispatcher>(
+        hs::core::make_hedged_dispatcher(
+            hs::core::make_fault_aware_dispatcher(hs::core::PolicyKind::kORR,
+                                                  config.speeds, config.rho),
+            hedging),
+        breaker);
+    std::unique_ptr<hs::explore::ScheduleHook> hook;
+    if (hooked) {
+      hook = std::make_unique<hs::explore::ScheduleHook>(unreachable);
+    }
+    config.choice_hook = hook.get();
+    const auto result = hs::cluster::run_simulation(config, *dispatcher);
+    jobs += result.completed_jobs;
+    events += result.events_fired;
+    benchmark::DoNotOptimize(result.mean_response_ratio);
+  }
+  state.SetLabel(hooked ? "hook-on" : "hook-off");
+  state.SetItemsProcessed(static_cast<int64_t>(jobs));
+  state.counters["jobs/s"] = benchmark::Counter(
+      static_cast<double>(jobs), benchmark::Counter::kIsRate);
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FullClusterSimulationRobust)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

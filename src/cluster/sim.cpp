@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "dispatch/decorator.h"
 #include "dispatch/hedged.h"
@@ -19,6 +18,7 @@
 #include "sim/simulator.h"
 #include "stats/interval_tracker.h"
 #include "util/check.h"
+#include "util/id_table.h"
 #include "util/math_util.h"
 
 namespace hs::cluster {
@@ -371,11 +371,11 @@ class RunContext : private sim::EventTarget {
     if (net_on_) {
       // A stranded hedged job may sit on two dead machines at once; the
       // conservation identity counts jobs, not copies.
-      for (const auto& [id, flight] : flights_) {
+      flights_.for_each([&in_flight](uint64_t, const Flight& flight) {
         if (flight.resident_mask == 0b11) {
           --in_flight;
         }
-      }
+      });
     }
     result.in_flight_at_end = in_flight;
     return result;
@@ -453,6 +453,7 @@ class RunContext : private sim::EventTarget {
     bool completed = false;
     sim::EventHandle hedge_timer;
   };
+  using FlightEntry = util::IdTable<Flight>::Entry;
   struct HeartbeatState {
     double last_arrival = 0.0;  // when the last heartbeat was seen
     double mean = 0.0;          // EWMA inter-arrival estimate
@@ -861,7 +862,7 @@ class RunContext : private sim::EventTarget {
       // Departure reports must reach the scheduler that sent the job
       // (schedulers share no state). Under the staleness model there are
       // no per-departure reports, so nothing is tracked.
-      job_scheduler_[job.id] = scheduler;
+      job_scheduler_[job.id] = static_cast<uint32_t>(scheduler);
     }
     if (faults_on_ && down_[machine]) {
       // Dispatched into a crash the scheduler has not (yet) detected:
@@ -1247,11 +1248,11 @@ class RunContext : private sim::EventTarget {
   }
 
   void net_on_deliver(const NetMsgArgs& msg) {
-    const auto it = flights_.find(msg.job.id);
-    if (it == flights_.end()) {
+    FlightEntry* entry = flights_.find(msg.job.id);
+    if (entry == nullptr) {
       return;  // late duplicate of an already-resolved flight
     }
-    Flight& flight = it->second;
+    Flight& flight = entry->value;
     const uint8_t bit = static_cast<uint8_t>(1u << msg.copy);
     if ((flight.delivered_mask & bit) != 0) {
       return;  // duplicate delivery of this copy — dedup
@@ -1264,7 +1265,7 @@ class RunContext : private sim::EventTarget {
       // arrival and never occupies the machine.
       --flight.pending;
       net_record_cancelled(flight, msg.job);
-      net_maybe_gc(it);
+      net_maybe_gc(entry);
       return;
     }
     if (faults_on_ && down_[machine]) {
@@ -1294,7 +1295,7 @@ class RunContext : private sim::EventTarget {
                        static_cast<uint16_t>(msg.job.attempt));
       }
       --flight.pending;
-      net_on_copy_failed(it, measured);
+      net_on_copy_failed(entry, measured);
       return;
     }
     flight.resident_mask |= bit;
@@ -1306,10 +1307,10 @@ class RunContext : private sim::EventTarget {
   }
 
   void net_on_copy_lost(const NetMsgArgs& msg) {
-    const auto it = flights_.find(msg.job.id);
-    HS_CHECK(it != flights_.end(),
+    FlightEntry* entry = flights_.find(msg.job.id);
+    HS_CHECK(entry != nullptr,
              "loss detected for untracked flight " << msg.job.id);
-    Flight& flight = it->second;
+    Flight& flight = entry->value;
     --flight.pending;
     if (msg.notify_fail != 0 && any_overload_feedback_) {
       // The scheduler sees the silent failure as a dispatch rejection —
@@ -1319,17 +1320,16 @@ class RunContext : private sim::EventTarget {
           msg.machine, false, simulator_.now());
     }
     const bool measured = msg.job.arrival_time >= config_.warmup_time();
-    net_on_copy_failed(it, measured);
+    net_on_copy_failed(entry, measured);
   }
 
   /// A copy's fate settled as failure. If a sibling copy is still alive
   /// the flight stays open; otherwise it resolves into the ordinary
   /// retry/drop path.
-  void net_on_copy_failed(std::unordered_map<uint64_t, Flight>::iterator it,
-                          bool measured) {
-    Flight& flight = it->second;
+  void net_on_copy_failed(FlightEntry* entry, bool measured) {
+    Flight& flight = entry->value;
     if (flight.completed) {
-      net_maybe_gc(it);
+      net_maybe_gc(entry);
       return;
     }
     if (flight.pending > 0 || flight.resident_mask != 0) {
@@ -1337,17 +1337,16 @@ class RunContext : private sim::EventTarget {
     }
     simulator_.cancel(flight.hedge_timer);
     const queueing::Job job = flight.job;
-    flights_.erase(it);
+    flights_.erase(entry);
     decide_retry(job, measured);
   }
 
   /// A resident copy was crash-evicted (on_fault_event with net on): it
   /// leaves the machine now and its fate settles at loss detection.
   void net_resident_lost(const queueing::Job& job, size_t machine) {
-    const auto it = flights_.find(job.id);
-    HS_CHECK(it != flights_.end(),
-             "crash evicted untracked flight " << job.id);
-    Flight& flight = it->second;
+    FlightEntry* entry = flights_.find(job.id);
+    HS_CHECK(entry != nullptr, "crash evicted untracked flight " << job.id);
+    Flight& flight = entry->value;
     HS_CHECK(!flight.completed,
              "completed flight " << job.id << " still resident");
     const uint8_t copy =
@@ -1375,11 +1374,11 @@ class RunContext : private sim::EventTarget {
   }
 
   void net_on_hedge_timer(const queueing::Job& job) {
-    const auto it = flights_.find(job.id);
-    if (it == flights_.end()) {
+    FlightEntry* entry = flights_.find(job.id);
+    if (entry == nullptr) {
       return;
     }
-    Flight& flight = it->second;
+    Flight& flight = entry->value;
     flight.hedge_timer = sim::EventHandle{};
     if (flight.completed) {
       return;
@@ -1419,10 +1418,10 @@ class RunContext : private sim::EventTarget {
   /// evicted here, before it can ever complete), the winner's metrics
   /// were already counted by on_completion's common path.
   void net_on_completion(const queueing::Completion& completion) {
-    const auto it = flights_.find(completion.job.id);
-    HS_CHECK(it != flights_.end(),
+    FlightEntry* entry = flights_.find(completion.job.id);
+    HS_CHECK(entry != nullptr,
              "completion for untracked flight " << completion.job.id);
-    Flight& flight = it->second;
+    Flight& flight = entry->value;
     HS_CHECK(!flight.completed,
              "duplicate completion for job " << completion.job.id);
     flight.completed = true;
@@ -1453,7 +1452,7 @@ class RunContext : private sim::EventTarget {
     simulator_.cancel(flight.hedge_timer);
     flight.hedge_timer = sim::EventHandle{};
     const size_t scheduler = flight.scheduler;
-    net_maybe_gc(it);  // invalidates `flight`
+    net_maybe_gc(entry);  // invalidates `flight`
     if (any_feedback_ && !stale_feedback_ &&
         wants(scheduler, dispatch::kDepartureFeedback)) {
       net_send_report(scheduler, static_cast<size_t>(completion.machine),
@@ -1514,11 +1513,11 @@ class RunContext : private sim::EventTarget {
 
   /// Erase a completed flight once nothing references it any more (no
   /// copy in transit, none resident).
-  void net_maybe_gc(std::unordered_map<uint64_t, Flight>::iterator it) {
-    const Flight& flight = it->second;
+  void net_maybe_gc(FlightEntry* entry) {
+    const Flight& flight = entry->value;
     if (flight.completed && flight.pending == 0 &&
         flight.resident_mask == 0) {
-      flights_.erase(it);
+      flights_.erase(entry);
     }
   }
 
@@ -1626,11 +1625,11 @@ class RunContext : private sim::EventTarget {
       return;
     }
     if (any_feedback_ && !stale_feedback_) {
-      const auto it = job_scheduler_.find(completion.job.id);
-      HS_CHECK(it != job_scheduler_.end(),
+      auto* entry = job_scheduler_.find(completion.job.id);
+      HS_CHECK(entry != nullptr,
                "completion for untracked job " << completion.job.id);
-      const size_t scheduler = it->second;
-      job_scheduler_.erase(it);
+      const size_t scheduler = entry->value;
+      job_scheduler_.erase(entry);
       if (wants(scheduler, dispatch::kDepartureFeedback)) {
         // §4.2: the machine notices the departure at its next 1 Hz load
         // check — U(0,1) s — then a message reaches the scheduler after
@@ -1655,7 +1654,7 @@ class RunContext : private sim::EventTarget {
   SchedulerSplit split_;
   bool any_feedback_ = false;
   size_t split_cursor_ = 0;
-  std::unordered_map<uint64_t, size_t> job_scheduler_;
+  util::IdTable<uint32_t> job_scheduler_;  // job id -> scheduler
   workload::JobSizeModel size_model_;
   rng::Xoshiro256 arrival_gen_;
   rng::Xoshiro256 size_gen_;
@@ -1678,7 +1677,7 @@ class RunContext : private sim::EventTarget {
   bool hb_on_ = false;    // heartbeat detector owns the fault signal
   std::optional<rng::Xoshiro256> net_gen_;  // all link-fault draws
   std::vector<char> partitioned_;           // current isolation per machine
-  std::unordered_map<uint64_t, Flight> flights_;
+  util::IdTable<Flight> flights_;           // job id -> in-flight copies
   std::vector<dispatch::HedgedDispatcher*> hedged_;  // per scheduler (null)
   std::vector<HeartbeatState> hb_;
   uint64_t msgs_lost_ = 0;

@@ -10,14 +10,21 @@
 // the coverage-guided search mutates schedules toward *observed* sites,
 // which is what keeps random mutation from wasting runs on choice
 // points the scenario never reaches.
+//
+// A robust run consults the hook ~14 times per job, so a consult is
+// cheap: the counters are one dense vector per ChoiceKind indexed by
+// entity, and a site no override targets pays one increment and no
+// probe. A counter vector grows only when a consult reaches a new
+// entity — never to fit the schedule, whose entities may reach 2^24−1.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/choice.h"
 #include "explore/schedule.h"
+#include "util/id_table.h"
 
 namespace hs::explore {
 
@@ -45,14 +52,24 @@ class ScheduleHook : public cluster::ChoiceHook {
   [[nodiscard]] std::vector<Site> sites() const;
 
  private:
-  uint64_t next_occurrence(cluster::ChoiceKind kind, uint32_t entity);
-  /// Pointer to the override's value bits, or null when this consult is
-  /// not overridden.
-  const uint64_t* lookup(cluster::ChoiceKind kind, uint32_t entity,
-                         uint64_t occurrence);
+  static constexpr size_t kKinds =
+      static_cast<size_t>(cluster::ChoiceKind::kCount);
 
-  std::unordered_map<uint64_t, uint64_t> overrides_;  // packed target -> bits
-  std::unordered_map<uint64_t, uint32_t> consults_;   // packed site -> count
+  struct Counter {
+    uint32_t consults = 0;
+    bool targeted = false;  // some override addresses this site
+  };
+
+  /// Count one consult of (kind, entity); pointer to the override's
+  /// value bits, or null when this consult is not overridden.
+  const uint64_t* consult(cluster::ChoiceKind kind, uint32_t entity);
+  /// Extend `kind`'s counters to cover `entity`, marking targeted sites.
+  void grow(size_t kind, uint32_t entity);
+
+  std::array<std::vector<Counter>, kKinds> counters_;  // [kind][entity]
+  // Sorted entities each kind's overrides address (one per op at most).
+  std::array<std::vector<uint32_t>, kKinds> targeted_;
+  util::IdTable<uint64_t> overrides_;  // packed target -> value bits
   uint64_t applied_ = 0;
 };
 

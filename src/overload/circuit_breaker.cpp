@@ -96,28 +96,30 @@ void CircuitBreakerDispatcher::on_dispatch_result(size_t machine,
   Breaker& b = breakers_[machine];
   if (accepted) {
     b.consecutive_failures = 0;
-    if (b.state == BreakerState::kHalfOpen) {
-      if (++b.probe_successes >= config_.probe_successes) {
-        transition(machine, BreakerState::kClosed, now);
-        mask_.apply();
-      }
+    if (b.state == BreakerState::kHalfOpen &&
+        ++b.probe_successes >= config_.probe_successes) {
+      transition(machine, BreakerState::kClosed, now);
+      mask_.apply();
     }
-    return;
-  }
-  switch (b.state) {
-    case BreakerState::kClosed:
-      if (++b.consecutive_failures >= config_.trip_threshold) {
+  } else {
+    switch (b.state) {
+      case BreakerState::kClosed:
+        if (++b.consecutive_failures >= config_.trip_threshold) {
+          trip(machine, now);
+        }
+        break;
+      case BreakerState::kHalfOpen:
+        // One failed probe re-opens immediately (cooldown restarts).
         trip(machine, now);
-      }
-      break;
-    case BreakerState::kHalfOpen:
-      // One failed probe re-opens immediately (cooldown restarts).
-      trip(machine, now);
-      break;
-    case BreakerState::kOpen:
-      // A straggler outcome from before the trip — already open.
-      break;
+        break;
+      case BreakerState::kOpen:
+        // A straggler outcome from before the trip — already open.
+        break;
+    }
   }
+  // The inner policy may track outcomes too (an adaptive dispatcher
+  // un-counts rejected dispatches from its busy-time estimates).
+  inner().on_dispatch_result(machine, accepted, now);
 }
 
 void CircuitBreakerDispatcher::on_machine_state_report(size_t machine,

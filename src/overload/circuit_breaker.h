@@ -77,7 +77,7 @@ class CircuitBreakerDispatcher final : public dispatch::DecoratorDispatcher {
   /// Cooldown expiry is checked on arrivals.
   void on_arrival(double now) override;
 
-  /// Consumes dispatch outcomes (not forwarded inward).
+  /// Dispatch outcomes drive the breakers, then are forwarded inward.
   void on_dispatch_result(size_t machine, bool accepted, double now) override;
 
   /// Also treat fault-layer crash reports as instant trips (a crashed

@@ -72,8 +72,8 @@ std::vector<Job> PsServer::evict_all() {
 
 bool PsServer::evict(uint64_t job_id) {
   advance_clock();
-  std::vector<ActiveJob> keep;
-  keep.reserve(active_.size());
+  std::vector<ActiveJob>& keep = evict_scratch_;
+  keep.clear();
   bool found = false;
   while (!active_.empty()) {
     if (!found && active_.top().job.id == job_id) {

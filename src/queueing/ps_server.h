@@ -67,6 +67,7 @@ class PsServer final : public Server, private sim::EventTarget {
 
   std::priority_queue<ActiveJob, std::vector<ActiveJob>, std::greater<>>
       active_;
+  std::vector<ActiveJob> evict_scratch_;  // reused by evict()
   double virtual_work_ = 0.0;  // V(t)
   double last_update_ = 0.0;
   double busy_accum_ = 0.0;

@@ -134,6 +134,10 @@ class EstimatorBank {
   [[nodiscard]] double lambda_hat(double fallback) const {
     return arrival_rate_.rate(fallback);
   }
+  /// Dispatches to `machine` not yet reported departed or forgotten.
+  [[nodiscard]] uint64_t outstanding(size_t machine) const {
+    return service_[machine].outstanding();
+  }
   /// Believed speed of `machine`, falling back to `fallback` until its
   /// estimator warms up.
   [[nodiscard]] double speed_hat(size_t machine, double fallback) const;

@@ -16,8 +16,16 @@
 #include <cstdlib>
 #include <new>
 
+#include "cluster/choice.h"
+#include "cluster/sim.h"
+#include "core/policy.h"
+#include "dispatch/hedged.h"
+#include "explore/hook.h"
+#include "explore/schedule.h"
 #include "obs/metrics.h"
+#include "obs/observer.h"
 #include "obs/trace.h"
+#include "overload/circuit_breaker.h"
 #include "queueing/job.h"
 #include "queueing/ps_server.h"
 #include "rng/rng.h"
@@ -27,13 +35,15 @@
 namespace {
 
 std::atomic<uint64_t> g_news{0};
+std::atomic<uint64_t> g_bytes{0};
 
 }  // namespace
 
-// Count every allocation in the binary; tests diff the counter around
-// the section under scrutiny.
+// Count every allocation (and its bytes) in the binary; tests diff the
+// counters around the section under scrutiny.
 void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) {
     return p;
   }
@@ -42,10 +52,14 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, so GCC does not inline free() into callers of a replaced
+// operator new and report the pair as mismatched.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace {
 
@@ -59,13 +73,19 @@ using hs::sim::Simulator;
 
 class AllocGuard {
  public:
-  AllocGuard() : start_(g_news.load(std::memory_order_relaxed)) {}
+  AllocGuard()
+      : start_(g_news.load(std::memory_order_relaxed)),
+        start_bytes_(g_bytes.load(std::memory_order_relaxed)) {}
   [[nodiscard]] uint64_t count() const {
     return g_news.load(std::memory_order_relaxed) - start_;
+  }
+  [[nodiscard]] uint64_t bytes() const {
+    return g_bytes.load(std::memory_order_relaxed) - start_bytes_;
   }
 
  private:
   uint64_t start_;
+  uint64_t start_bytes_;
 };
 
 class CountingTarget final : public EventTarget {
@@ -262,6 +282,102 @@ TEST(EventAllocation, ReservedMetricsSamplingIsAllocationFree) {
   }
   EXPECT_EQ(guard.count(), 0u);
   EXPECT_EQ(registry.sample_count(), 10000u);
+}
+
+// ---- The robust dispatch path ---------------------------------------------
+//
+// A run with hedging, lossy and duplicating links, heartbeats, a trace
+// sink and a replayed schedule, but no crashes: the flight table, the
+// job -> scheduler table and the hook's counters reach their working
+// size early, so a 4x longer run allocates only a few dozen more times
+// (vector doublings as the servers' queues reach deeper peaks), not
+// once per job.
+
+hs::cluster::SimulationConfig robust_config(double sim_time) {
+  hs::cluster::SimulationConfig config;
+  config.speeds = {1.0, 1.0, 1.5, 2.0, 5.0, 10.0};
+  config.rho = 0.7;
+  config.sim_time = sim_time;
+  config.seed = 3;
+  config.network.dispatch_link.loss = 0.005;
+  config.network.dispatch_link.duplicate = 0.005;
+  config.network.dispatch_link.delay_mean = 0.01;
+  config.network.report_link.loss = 0.005;
+  config.network.heartbeat.interval = 10.0;
+  return config;
+}
+
+struct RobustRun {
+  uint64_t allocations = 0;
+  uint64_t completed = 0;
+  uint64_t hedges = 0;
+};
+
+RobustRun run_robust(double sim_time) {
+  hs::cluster::SimulationConfig config = robust_config(sim_time);
+  hs::dispatch::HedgingConfig hedging;
+  hedging.delay = 5.0;
+  hs::overload::CircuitBreakerConfig breaker;
+  breaker.trip_threshold = 3;
+  breaker.cooldown = 10.0;
+  hs::overload::CircuitBreakerDispatcher dispatcher(
+      hs::core::make_hedged_dispatcher(
+          hs::core::make_fault_aware_dispatcher(hs::core::PolicyKind::kORR,
+                                                config.speeds, config.rho),
+          hedging),
+      breaker);
+  hs::explore::Schedule schedule;
+  for (uint32_t m = 0; m < 6; ++m) {
+    schedule.ops.push_back(hs::explore::Override::force_bool(
+        hs::cluster::ChoiceKind::kDispatchLoss, m, 10 + m, true));
+  }
+  hs::explore::ScheduleHook hook(schedule);
+  config.choice_hook = &hook;
+  hs::obs::TraceSink sink(4096);
+  hs::obs::Observer observer;
+  observer.trace = &sink;
+  config.observer = &observer;
+
+  AllocGuard guard;
+  const auto result = hs::cluster::run_simulation(config, dispatcher);
+  RobustRun run;
+  run.allocations = guard.count();
+  run.completed = result.total_completed;
+  run.hedges = result.hedges_issued;
+  EXPECT_EQ(hook.applied(), schedule.ops.size());
+  EXPECT_GT(result.msgs_lost, 0u);
+  EXPECT_GT(sink.overwritten(), 0u);
+  return run;
+}
+
+TEST(EventAllocation, RobustRunAllocationsDoNotGrowWithJobs) {
+  const RobustRun short_run = run_robust(5000.0);
+  const RobustRun long_run = run_robust(20000.0);
+  ASSERT_GT(long_run.completed, 3 * short_run.completed);
+  EXPECT_GT(short_run.hedges, 0u);
+  // Thousands of jobs more; a few dozen more allocations at most.
+  EXPECT_LE(long_run.allocations, short_run.allocations + 32)
+      << "short run " << short_run.allocations << " allocations for "
+      << short_run.completed << " jobs, long run " << long_run.allocations
+      << " for " << long_run.completed;
+}
+
+TEST(EventAllocation, ScheduleHookAtMaxEntityAllocatesPerOpNotPerEntity) {
+  constexpr uint32_t kMaxEntity = (1u << 24) - 1;
+  hs::explore::Schedule schedule;
+  schedule.ops.push_back(hs::explore::Override::force_bool(
+      hs::cluster::ChoiceKind::kDispatchLoss, kMaxEntity, 0, true));
+  schedule.ops.push_back(hs::explore::Override::force_double(
+      hs::cluster::ChoiceKind::kFaultUptime, kMaxEntity, 3, 1.0));
+  AllocGuard guard;
+  hs::explore::ScheduleHook hook(schedule);
+  // A counter table sized to the entity would be 2^24 entries.
+  EXPECT_LT(guard.bytes(), 4096u);
+  // Consulting a small entity grows only that kind's table, and only
+  // to the entity consulted.
+  AllocGuard consult;
+  EXPECT_FALSE(hook.on_bool(hs::cluster::ChoiceKind::kDispatchLoss, 3, false));
+  EXPECT_LT(consult.bytes(), 1024u);
 }
 
 }  // namespace

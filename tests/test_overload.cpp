@@ -20,6 +20,7 @@
 #include "overload/config.h"
 #include "overload/retry_budget.h"
 #include "rng/rng.h"
+#include "uncertainty/adaptive.h"
 #include "util/check.h"
 
 namespace {
@@ -633,6 +634,31 @@ TEST(OverloadSim, CircuitBreakerTripsUnderSustainedRejection) {
   ASSERT_NE(breaker, nullptr);
   EXPECT_GT(breaker->trips(), 0u);
   EXPECT_GT(result.jobs_rejected, 0u);
+  expect_accounting_identity(result);
+}
+
+// The breaker forwards dispatch outcomes inward: an adaptive policy
+// under it un-counts each rejected dispatch from its busy-time
+// estimates. Every accepted dispatch departs and is reported by the end
+// of the drained run, so nothing may stay outstanding.
+TEST(OverloadSim, BreakerForwardsRejectionsToAdaptiveCore) {
+  auto config = overload_sim({1.0, 1.0}, 1.4);
+  config.overload.queue_capacity = 3;
+  CircuitBreakerConfig never_trips;
+  never_trips.trip_threshold = 1000000;  // keep the mask out of the picture
+  CircuitBreakerDispatcher breaker(
+      hs::core::make_adaptive_dispatcher(hs::core::PolicyKind::kORR,
+                                         config.speeds, 0.9),
+      never_trips);
+  const auto result = hs::cluster::run_simulation(config, breaker);
+  ASSERT_GT(result.jobs_rejected, 0u);
+  EXPECT_EQ(breaker.trips(), 0u);
+  const auto* adaptive = hs::dispatch::find_layer<
+      hs::uncertainty::GovernedAdaptiveDispatcher>(&breaker);
+  ASSERT_NE(adaptive, nullptr);
+  for (size_t m = 0; m < config.speeds.size(); ++m) {
+    EXPECT_EQ(adaptive->bank().outstanding(m), 0u) << "machine " << m;
+  }
   expect_accounting_identity(result);
 }
 
